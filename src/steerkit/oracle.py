@@ -34,6 +34,9 @@ from .measurements import (
 
 # Deterministic-strategy enumeration refuses beyond this many strategies.
 STRATEGY_CAP = 10**6
+# Strategies per stacked eigvalsh in certify_steering. Its memory grows by
+# about 0.4 kB per strategy in a block; larger blocks measured no faster.
+STRATEGY_BLOCK = 2**12
 # Per-constraint slack band absorbed as feasible (floating-point residue).
 SLACK_BAND = 1e-9
 # A certificate requires the observed value to clear the exact bound by this.
@@ -171,13 +174,28 @@ def hidden_state_grid(dim: int, resolution: int, seed: int = GRID_SEED) -> Hidde
     return random_pure_grid(dim, resolution, seed)
 
 
-def enumerate_strategies(outcome_counts: Sequence[int]) -> list[tuple[int, ...]]:
-    """All deterministic Alice strategies: one outcome index per setting."""
+def _strategy_count(outcome_counts: Sequence[int]) -> int:
+    """Number of deterministic Alice strategies, refused beyond STRATEGY_CAP.
+
+    The product is taken over Python ints: a fixed-width numpy product wraps
+    (2**64 becomes 0) and would slip under the cap.
+    """
     total = 1
     for n in outcome_counts:
-        total *= n
+        total *= int(n)
         if total > STRATEGY_CAP:
             raise ValueError(f"deterministic-strategy enumeration exceeds cap of {STRATEGY_CAP}")
+    return total
+
+
+def _strategy_block(outcome_counts: Sequence[int], start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """Strategies start..stop-1 as one outcome-index array per setting, in itertools.product order."""
+    return np.unravel_index(np.arange(start, stop), tuple(outcome_counts))
+
+
+def enumerate_strategies(outcome_counts: Sequence[int]) -> list[tuple[int, ...]]:
+    """All deterministic Alice strategies: one outcome index per setting."""
+    _strategy_count(outcome_counts)
     return list(itertools.product(*(range(n) for n in outcome_counts)))
 
 
@@ -185,45 +203,43 @@ def _bob_probability_table(
     phen: Phenomenon, grid: HiddenStateGrid, bob_measurements: Sequence[Measurement]
 ) -> list[np.ndarray]:
     """Q[b][B, l] = Tr[F_B^b ρ_l] for every Bob measurement and grid state."""
+    rhos = np.array([rho.matrix for rho in grid.states])
     tables = []
     for meas in bob_measurements:
         if meas.dim != grid.dim:
             raise ValueError(f"Bob measurement {meas.label!r} dimension mismatch with grid")
-        q = np.empty((meas.n_outcomes, len(grid.states)))
-        for b_out, effect in enumerate(meas.effects):
-            for l, rho in enumerate(grid.states):
-                q[b_out, l] = np.real(np.trace(effect @ rho.matrix))
-        tables.append(q)
+        products = np.array(meas.effects)[:, None] @ rhos[None]
+        tables.append(np.real(np.trace(products, axis1=-2, axis2=-1)))
     return tables
 
 
 def _lp_system(
     phen: Phenomenon, grid: HiddenStateGrid, bob_measurements: Sequence[Measurement]
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Equality system A·w = b over weights w[strategy, grid state] ≥ 0.
 
     One row per (pairing entry, Alice outcome, Bob outcome), plus a final
-    normalization row Σw = 1.
+    normalization row Σw = 1. Also returns the number of strategies.
     """
-    strategies = enumerate_strategies([m.n_outcomes for m in phen.strategy.alice])
+    counts = [m.n_outcomes for m in phen.strategy.alice]
+    n_strategies = _strategy_count(counts)
+    outcomes = _strategy_block(counts, 0, n_strategies)
     q_tables = _bob_probability_table(phen, grid, bob_measurements)
-    n_states = len(grid.states)
     n_rows = sum(t.probs.size for t in phen.tables) + 1
-    n_cols = len(strategies) * n_states
-    a_mat = np.zeros((n_rows, n_cols))
-    b_vec = np.zeros(n_rows)
+    a_mat = np.empty((n_rows, n_strategies * len(grid.states)))
+    b_vec = np.empty(n_rows)
     row = 0
     for (a_idx, b_idx), table in zip(phen.strategy.pairing, phen.tables):
-        for a_out in range(table.probs.shape[0]):
-            for b_out in range(table.probs.shape[1]):
-                for k, strat in enumerate(strategies):
-                    if strat[a_idx] == a_out:
-                        a_mat[row, k * n_states : (k + 1) * n_states] = q_tables[b_idx][b_out]
-                b_vec[row] = table.probs[a_out, b_out]
-                row += 1
+        n_a, n_b = table.probs.shape
+        # block[A, B, k, l] = Q[b][B, l] where strategy k answers A to setting a, else 0.
+        answers = outcomes[a_idx][:, None] == np.arange(n_a)[:, None, None, None]
+        block = np.where(answers, q_tables[b_idx][None, :, None, :], 0.0)
+        a_mat[row : row + n_a * n_b] = block.reshape(n_a * n_b, -1)
+        b_vec[row : row + n_a * n_b] = table.probs.ravel()
+        row += n_a * n_b
     a_mat[row, :] = 1.0
     b_vec[row] = 1.0
-    return a_mat, b_vec, strategies
+    return a_mat, b_vec, n_strategies
 
 
 @dataclass(frozen=True)
@@ -263,7 +279,7 @@ def lhs_feasible(
     every weight column while yᵀb > 0.
     """
     bob = tuple(bob_measurements) if bob_measurements is not None else phen.strategy.bob
-    a_mat, b_vec, strategies = _lp_system(phen, grid, bob)
+    a_mat, b_vec, n_strategies = _lp_system(phen, grid, bob)
     n_rows, n_cols = a_mat.shape
     cost = np.concatenate([np.zeros(n_cols), np.ones(2 * n_rows)])
     a_eq = np.hstack([a_mat, np.eye(n_rows), -np.eye(n_rows)])
@@ -272,7 +288,7 @@ def lhs_feasible(
         raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
     violation = float(res.fun)
     if violation <= SLACK_BAND * n_rows:
-        weights = res.x[:n_cols].reshape(len(strategies), len(grid.states))
+        weights = res.x[:n_cols].reshape(n_strategies, len(grid.states))
         return GridFeasible(weights=weights, residual=violation)
     dual = np.asarray(res.eqlin.marginals, dtype=float)
     if dual @ b_vec < 0:
@@ -371,37 +387,41 @@ def certify_steering(
     For each deterministic Alice strategy k the hidden-state value of the
     functional is at most the maximum eigenvalue of the aggregated Bob
     operator Σ_{a,B,b} f[k(a),a,B,b]·F_b^B; the bound is the maximum over k.
-    Certification does not depend on any grid.
+    Strategies are taken STRATEGY_BLOCK at a time with one stacked eigvalsh
+    per block, so memory does not grow with their number. Certification does
+    not depend on any grid.
     """
     bob = tuple(bob_measurements) if bob_measurements is not None else phen.strategy.bob
     observed = functional.value(phen)
-    strategies = enumerate_strategies([m.n_outcomes for m in phen.strategy.alice])
+    counts = [m.n_outcomes for m in phen.strategy.alice]
+    n_strategies = _strategy_count(counts)
     dim = bob[0].dim
-    # Per pairing entry and Alice outcome, the Bob operator Σ_B f[A,B]·F_B.
-    partial_ops: list[list[np.ndarray]] = []
+    # Per pairing entry, the stack over Alice outcomes of Bob operators Σ_B f[A,B]·F_B.
+    partial_ops: list[np.ndarray] = []
     for (a_idx, b_idx), block in zip(phen.strategy.pairing, functional.coeffs):
-        ops_for_entry = []
+        ops_for_entry = np.zeros((block.shape[0], dim, dim), dtype=complex)
         for a_out in range(block.shape[0]):
-            op = np.zeros((dim, dim), dtype=complex)
             for b_out, effect in enumerate(bob[b_idx].effects):
-                op += block[a_out, b_out] * effect
-            ops_for_entry.append(op)
+                ops_for_entry[a_out] += block[a_out, b_out] * effect
         partial_ops.append(ops_for_entry)
     best_bound = -np.inf
-    best_strategy = strategies[0]
-    for strat in strategies:
-        aggregated = np.zeros((dim, dim), dtype=complex)
+    best_strategy: tuple[int, ...] = ()
+    for start in range(0, n_strategies, STRATEGY_BLOCK):
+        outcomes = _strategy_block(counts, start, min(start + STRATEGY_BLOCK, n_strategies))
+        aggregated = np.zeros((len(outcomes[0]), dim, dim), dtype=complex)
         for (a_idx, _), ops_for_entry in zip(phen.strategy.pairing, partial_ops):
-            aggregated += ops_for_entry[strat[a_idx]]
-        top = float(np.linalg.eigvalsh(aggregated)[-1])
-        if top > best_bound:
-            best_bound = top
-            best_strategy = strat
+            aggregated += ops_for_entry[outcomes[a_idx]]
+        tops = np.linalg.eigvalsh(aggregated)[:, -1]
+        k = int(np.argmax(tops))
+        # Strict comparison keeps the first maximizer in product order.
+        if tops[k] > best_bound:
+            best_bound = float(tops[k])
+            best_strategy = tuple(int(o[k]) for o in outcomes)
     return SteeringCertificate(
         observed_value=observed,
         lhs_bound=best_bound,
         certified=bool(observed > best_bound + CERTIFY_MARGIN),
-        maximizing_strategy=tuple(best_strategy),
+        maximizing_strategy=best_strategy,
     )
 
 
