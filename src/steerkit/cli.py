@@ -455,6 +455,13 @@ def cmd_figure_cv_bounds(config: RunConfig) -> int:
     else:
         rows = [[_fmt(nbar), _fmt(ent), _fmt(reid), _fmt(coll)] for nbar, ent, reid, coll in curves]
         _emit(_csv_table(["nbar", "entanglement_mu", "reid_mu", "collective_mu"], rows), config.out)
+    unreachable = sum(coll >= 1.0 for *_, coll in curves)
+    if unreachable:
+        print(
+            f"steerkit: note: collective boundary unreachable (mu >= 1) at {unreachable} "
+            f"of {len(curves)} nbar points",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -37,6 +37,21 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def check_density_matrices(m: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of a (..., d, d) stack is a state.
+
+    Each must be Hermitian and of unit trace within 1e-10, with no
+    eigenvalue below -1e-9; the eigenvalues come from one stacked eigvalsh.
+    """
+    if np.abs(m - np.swapaxes(m.conj(), -1, -2)).max() > ATOL_STRUCTURAL:
+        raise ValueError("density matrix is not Hermitian within 1e-10")
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    if abs(trace.real - 1.0).max() > ATOL_STRUCTURAL or abs(trace.imag).max() > ATOL_STRUCTURAL:
+        raise ValueError("density matrix trace differs from 1 beyond 1e-10")
+    if np.linalg.eigvalsh(m).min() < -ATOL_SPECTRAL:
+        raise ValueError("density matrix has an eigenvalue below -1e-9")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated quantum state: Hermitian, unit trace, PSD up to tolerance."""
@@ -47,14 +62,24 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if np.max(np.abs(m - dagger(m))) > ATOL_STRUCTURAL:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(m).real - 1.0) > ATOL_STRUCTURAL or abs(np.trace(m).imag) > ATOL_STRUCTURAL:
-            raise ValueError("density matrix trace differs from 1 beyond 1e-10")
-        if np.linalg.eigvalsh(m).min() < -ATOL_SPECTRAL:
-            raise ValueError("density matrix has an eigenvalue below -1e-9")
+        check_density_matrices(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def stack(cls, matrices: np.ndarray) -> tuple[DensityMatrix, ...]:
+        """Validate an (n, d, d) stack once and wrap its read-only slices."""
+        m = np.asarray(matrices, dtype=complex)
+        if m.ndim != 3 or m.shape[1] != m.shape[2]:
+            raise ValueError(f"density matrix stack must have shape (n, d, d), got {m.shape}")
+        check_density_matrices(m)
+        m.setflags(write=False)
+        states = []
+        for rho in m:
+            state = object.__new__(cls)
+            object.__setattr__(state, "matrix", rho)
+            states.append(state)
+        return tuple(states)
 
     @property
     def dim(self) -> int:

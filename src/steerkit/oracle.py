@@ -128,6 +128,9 @@ class HiddenStateGrid:
     def __post_init__(self) -> None:
         if not self.states:
             raise ValueError("hidden-state grid is empty")
+        dims = sorted({rho.dim for rho in self.states})
+        if len(dims) > 1:
+            raise ValueError(f"hidden-state grid mixes state dimensions {dims}")
 
     @property
     def dim(self) -> int:
@@ -142,30 +145,29 @@ def qubit_grid(resolution: int) -> HiddenStateGrid:
     paulis = (2 * spin.jx, 2 * spin.jy, 2 * spin.jz)
     eye = np.eye(2, dtype=complex)
     golden_angle = np.pi * (3.0 - np.sqrt(5.0))
-    states = []
-    for i in range(resolution):
-        z = 1.0 - 2.0 * (i + 0.5) / resolution
-        r = np.sqrt(max(0.0, 1.0 - z * z))
-        phi = golden_angle * i
-        direction = (r * np.cos(phi), r * np.sin(phi), z)
-        bloch = sum(c * s for c, s in zip(direction, paulis))
-        states.append(DensityMatrix(0.5 * (eye + bloch)))
-    states.append(DensityMatrix(eye / 2))
-    return HiddenStateGrid(states=tuple(states), resolution=resolution)
+    i = np.arange(resolution)
+    z = 1.0 - 2.0 * (i + 0.5) / resolution
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = golden_angle * i
+    direction = (r * np.cos(phi), r * np.sin(phi), z)
+    # sum() starts from 0 and adds x, y, z in turn, as the per-state sum did.
+    bloch = sum(c[:, None, None] * s for c, s in zip(direction, paulis))
+    rhos = np.concatenate([0.5 * (eye + bloch), (eye / 2)[None]])
+    return HiddenStateGrid(states=DensityMatrix.stack(rhos), resolution=resolution)
 
 
 def random_pure_grid(dim: int, resolution: int, seed: int = GRID_SEED) -> HiddenStateGrid:
     """Fixed-seed unitary-invariant pure states for dimension > 2, plus I/d."""
     if resolution < 1:
         raise ValueError(f"grid resolution must be >= 1, got {resolution}")
-    rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(resolution):
-        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        psi /= np.linalg.norm(psi)
-        states.append(DensityMatrix(np.outer(psi, psi.conj())))
-    states.append(DensityMatrix(np.eye(dim, dtype=complex) / dim))
-    return HiddenStateGrid(states=tuple(states), resolution=resolution)
+    # Per state, dim real parts then dim imaginary parts, in one draw.
+    draws = np.random.default_rng(seed).standard_normal((resolution, 2, dim))
+    psi = draws[:, 0] + 1j * draws[:, 1]
+    # The same dot products np.linalg.norm takes on the strided real and imaginary views.
+    psi /= np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))[:, None]
+    pure = psi[:, :, None] * psi.conj()[:, None, :]
+    rhos = np.concatenate([pure, (np.eye(dim, dtype=complex) / dim)[None]])
+    return HiddenStateGrid(states=DensityMatrix.stack(rhos), resolution=resolution)
 
 
 def hidden_state_grid(dim: int, resolution: int, seed: int = GRID_SEED) -> HiddenStateGrid:
@@ -317,6 +319,33 @@ class SteeringFunctional:
         return float(sum(np.sum(c * t.probs) for c, t in zip(self.coeffs, phen.tables)))
 
 
+def _dual_blocks(phen: Phenomenon, y: np.ndarray) -> list[np.ndarray]:
+    """The multipliers of each pairing entry's rows, shaped like its table."""
+    blocks = []
+    row = 0
+    for table in phen.tables:
+        blocks.append(y[row : row + table.probs.size].reshape(table.probs.shape))
+        row += table.probs.size
+    return blocks
+
+
+def _dual_columns(
+    phen: Phenomenon, grid: HiddenStateGrid, bob_measurements: Sequence[Measurement], y: np.ndarray
+) -> np.ndarray:
+    """yᵀA of the `_lp_system` matrix as an array [strategy, grid state], without building A.
+
+    Column (k, l) is the normalization multiplier plus, per pairing entry
+    (a, b), Σ_B y[k(a), B]·Q[b][B, l].
+    """
+    counts = [m.n_outcomes for m in phen.strategy.alice]
+    outcomes = _strategy_block(counts, 0, _strategy_count(counts))
+    q_tables = _bob_probability_table(phen, grid, bob_measurements)
+    columns = np.full((len(outcomes[0]), len(grid.states)), y[-1])
+    for (a_idx, b_idx), y_block in zip(phen.strategy.pairing, _dual_blocks(phen, y)):
+        columns += (y_block @ q_tables[b_idx])[outcomes[a_idx]]
+    return columns
+
+
 def functional_from_dual(
     phen: Phenomenon,
     grid: HiddenStateGrid,
@@ -325,26 +354,21 @@ def functional_from_dual(
 ) -> SteeringFunctional:
     """Turn a Farkas dual into a steering functional, re-verifying separation.
 
-    The dual is checked against the rebuilt grid system (yᵀA ≤ tol on all
-    weight columns and yᵀb > 0) so a stale or mis-oriented vector is rejected.
-    The resulting functional's grid-level bound is ≤ -y_norm by construction;
-    only `certify_steering` turns it into a rigorous grid-free verdict.
+    The dual is checked against the grid system of this phenomenon and grid
+    (yᵀA ≤ tol on all weight columns and yᵀb > 0) so a stale or mis-oriented
+    vector is rejected. The resulting functional's grid-level bound is
+    ≤ -y_norm by construction; only `certify_steering` turns it into a
+    rigorous grid-free verdict.
     """
     bob = tuple(bob_measurements) if bob_measurements is not None else phen.strategy.bob
-    a_mat, b_vec, _ = _lp_system(phen, grid, bob)
+    b_vec = np.concatenate([t.probs.ravel() for t in phen.tables] + [np.ones(1)])
     y = np.asarray(infeasible.dual, dtype=float)
-    if y.shape != (a_mat.shape[0],):
-        raise ValueError(f"dual length {y.shape} does not match {a_mat.shape[0]} constraints")
+    if y.shape != b_vec.shape:
+        raise ValueError(f"dual length {y.shape} does not match {b_vec.size} constraints")
     scale = max(1.0, float(np.max(np.abs(y))))
-    if float(np.max(y @ a_mat)) > 1e-7 * scale or float(y @ b_vec) <= 0:
+    if float(np.max(_dual_columns(phen, grid, bob, y))) > 1e-7 * scale or float(y @ b_vec) <= 0:
         raise ValueError("dual fails the grid-level separation check")
-    blocks = []
-    row = 0
-    for table in phen.tables:
-        size = table.probs.size
-        blocks.append(y[row : row + size].reshape(table.probs.shape).copy())
-        row += size
-    return SteeringFunctional(coeffs=tuple(blocks))
+    return SteeringFunctional(coeffs=tuple(block.copy() for block in _dual_blocks(phen, y)))
 
 
 def linear_correlation_functional(

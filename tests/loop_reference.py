@@ -1,4 +1,4 @@
-"""Per-strategy loop implementations of the oracle's exact bound and LP system.
+"""Loop implementations of the oracle's exact bound, LP system and grids.
 
 A compact copy of the original scalar loops, kept as the reference that the
 array code in `steerkit.oracle` must reproduce bit for bit.
@@ -9,6 +9,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from steerkit.core import DensityMatrix, spin_operators
+from steerkit.oracle import HiddenStateGrid
 
 
 def lp_system(phen, grid, bob):
@@ -60,3 +63,33 @@ def exact_bound(phen, functional, bob=None):
         if top > best_bound:
             best_bound, best_strategy = top, strat
     return best_bound, tuple(best_strategy)
+
+
+def qubit_grid(resolution):
+    """Golden-spiral Bloch states built one DensityMatrix at a time, plus I/2."""
+    spin = spin_operators(0.5)
+    paulis = (2 * spin.jx, 2 * spin.jy, 2 * spin.jz)
+    eye = np.eye(2, dtype=complex)
+    golden_angle = np.pi * (3.0 - np.sqrt(5.0))
+    states = []
+    for i in range(resolution):
+        z = 1.0 - 2.0 * (i + 0.5) / resolution
+        r = np.sqrt(max(0.0, 1.0 - z * z))
+        phi = golden_angle * i
+        direction = (r * np.cos(phi), r * np.sin(phi), z)
+        bloch = sum(c * s for c, s in zip(direction, paulis))
+        states.append(DensityMatrix(0.5 * (eye + bloch)))
+    states.append(DensityMatrix(eye / 2))
+    return HiddenStateGrid(states=tuple(states), resolution=resolution)
+
+
+def random_pure_grid(dim, resolution, seed):
+    """Seeded pure states drawn and normalized one at a time, plus I/d."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(resolution):
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi /= np.linalg.norm(psi)
+        states.append(DensityMatrix(np.outer(psi, psi.conj())))
+    states.append(DensityMatrix(np.eye(dim, dtype=complex) / dim))
+    return HiddenStateGrid(states=tuple(states), resolution=resolution)

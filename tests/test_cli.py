@@ -299,6 +299,15 @@ class TestFigure:
         code, _, _ = run_cli(capsys, "figure", "cv-bounds", "--nbar-grid", "0:5:10")
         assert code == 2
 
+    def test_unreachable_collective_boundary_noted_on_stderr(self, capsys):
+        # For nbar < 1/8 the collective boundary lies above mu = 1: here at 0.05 and 0.1.
+        code, out, err = run_cli(capsys, "figure", "cv-bounds", "--nbar-grid", "0.05:0.2:4")
+        assert code == 0
+        assert [float(row[3]) >= 1 for row in list(csv.reader(io.StringIO(out)))[1:]] == [True, True, False, False]
+        assert err == "steerkit: note: collective boundary unreachable (mu >= 1) at 2 of 4 nbar points\n"
+        _, _, err = run_cli(capsys, *self.ARGS)
+        assert err == ""
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "curves.csv"
         code, out, _ = run_cli(capsys, *self.ARGS, "--out", str(target))

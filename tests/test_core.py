@@ -158,6 +158,41 @@ class TestDensityMatrixValidation:
             BipartiteState(random_density_matrix(rng, 4), 3, 2)
 
 
+class TestDensityMatrixStack:
+    BAD = {
+        "non-hermitian": np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex),
+        "wrong-trace": np.eye(2, dtype=complex),
+        "negative-eigenvalue": np.diag([1.5, -0.5]).astype(complex),
+    }
+
+    def test_valid_stack_wraps_read_only_slices(self, rng):
+        mats = np.array([random_density_matrix(rng, 3).matrix for _ in range(5)])
+        states = DensityMatrix.stack(mats)
+        assert len(states) == 5
+        for state, m in zip(states, mats):
+            assert isinstance(state, DensityMatrix)
+            assert state.dim == 3
+            assert np.array_equal(state.matrix, m)
+            assert not state.matrix.flags.writeable
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_bad_matrix_mid_stack_raises_single_message(self, rng, kind):
+        bad = self.BAD[kind]
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(bad.copy())
+        mats = np.array([random_density_matrix(rng, 2).matrix for _ in range(7)])
+        mats[3] = bad
+        with pytest.raises(ValueError) as stacked:
+            DensityMatrix.stack(mats)
+        assert str(stacked.value) == str(single.value)
+
+    def test_rejects_non_stack_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            DensityMatrix.stack(np.eye(2, dtype=complex) / 2)
+        with pytest.raises(ValueError, match="shape"):
+            DensityMatrix.stack(np.ones((2, 2, 3), dtype=complex))
+
+
 class TestUncertaintyBounds:
     def test_robertson_product(self, rng):
         for j in (0.5, 1.0):

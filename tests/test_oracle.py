@@ -98,6 +98,11 @@ class TestGrids:
         with pytest.raises(ValueError):
             HiddenStateGrid(states=(), resolution=0)
 
+    def test_mixed_dimensions_rejected(self):
+        states = qubit_grid(2).states + random_pure_grid(3, 2).states
+        with pytest.raises(ValueError, match=r"dimensions \[2, 3\]"):
+            HiddenStateGrid(states=states, resolution=4)
+
 
 class TestStrategyEnumeration:
     def test_small(self):

@@ -1,8 +1,12 @@
-"""The array oracle reproduces the per-strategy loops exactly, not to a tolerance."""
+"""The array oracle reproduces the loops exactly, not to a tolerance.
+
+Only the dual columns, summed in another order than y @ A, carry one.
+"""
 
 import numpy as np
 import pytest
 
+import loop_reference
 from loop_reference import exact_bound, lp_system
 from steerkit import oracle
 from steerkit.core import bipartite_from_matrix, spin_operators
@@ -11,6 +15,7 @@ from steerkit.measurements import MeasurementStrategy, all_pairs_strategy, obser
 from steerkit.oracle import (
     SteeringFunctional,
     certify_steering,
+    lhs_feasible,
     linear_correlation_functional,
     mub_qubit_measurements,
     phenomenon_from_state,
@@ -127,3 +132,65 @@ class TestLpSystem:
         state = bipartite_from_matrix(random_density_matrix(rng, 9).matrix, 3, 3)
         phen = phenomenon_from_state(state, all_pairs_strategy(meas, meas))
         assert_same_system(phen, random_pure_grid(3, 120))
+
+
+def grid_bytes(grid):
+    return np.array([rho.matrix for rho in grid.states]).tobytes()
+
+
+class TestGrids:
+    @pytest.mark.parametrize("resolution", [1, 50, 200, 800])
+    def test_qubit_grid(self, resolution):
+        grid = qubit_grid(resolution)
+        assert grid_bytes(grid) == grid_bytes(loop_reference.qubit_grid(resolution))
+        assert grid.resolution == resolution
+
+    @pytest.mark.parametrize("seed", [oracle.GRID_SEED, 7])
+    @pytest.mark.parametrize("resolution", [1, 30, 800])
+    @pytest.mark.parametrize("dim", [3, 4, 9])
+    def test_random_pure_grid(self, dim, resolution, seed):
+        grid = random_pure_grid(dim, resolution, seed)
+        assert grid_bytes(grid) == grid_bytes(loop_reference.random_pure_grid(dim, resolution, seed))
+
+
+def assert_dual_columns_match(phen, grid, y):
+    a_mat = oracle._lp_system(phen, grid, phen.strategy.bob)[0]
+    columns = oracle._dual_columns(phen, grid, phen.strategy.bob, y)
+    assert columns.shape == (a_mat.shape[1] // len(grid.states), len(grid.states))
+    assert np.max(np.abs(columns.ravel() - y @ a_mat)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+
+
+class TestDualColumns:
+    @pytest.mark.parametrize("n_mub", [2, 3])
+    @pytest.mark.parametrize("resolution", [50, 800])
+    def test_werner_mub(self, rng, n_mub, resolution):
+        meas = mub_qubit_measurements(n_mub)
+        phen = phenomenon_from_state(werner_state(0.9), all_pairs_strategy(meas, meas))
+        grid = qubit_grid(resolution)
+        outcome = lhs_feasible(phen, grid)
+        assert not outcome.feasible
+        assert_dual_columns_match(phen, grid, outcome.dual)
+        assert_dual_columns_match(phen, grid, 40.0 * rng.standard_normal(outcome.dual.shape))
+
+    def test_functional_from_dual_builds_no_lp(self, monkeypatch):
+        meas = mub_qubit_measurements(3)
+        phen = phenomenon_from_state(werner_state(0.9), all_pairs_strategy(meas, meas))
+        grid = qubit_grid(50)
+        outcome = lhs_feasible(phen, grid)
+
+        def no_lp(*args):
+            raise AssertionError("LP system rebuilt")
+
+        monkeypatch.setattr(oracle, "_lp_system", no_lp)
+        functional = oracle.functional_from_dual(phen, grid, outcome)
+        assert np.concatenate([c.ravel() for c in functional.coeffs]).tobytes() == outcome.dual[:-1].tobytes()
+
+    def test_qutrit_random_pure_grid(self, rng):
+        spin = spin_operators(1.0)
+        meas = tuple(observable_to_measurement(op, label) for label, op in (("Jx", spin.jx), ("Jz", spin.jz)))
+        state = bipartite_from_matrix(random_density_matrix(rng, 9).matrix, 3, 3)
+        phen = phenomenon_from_state(state, all_pairs_strategy(meas, meas))
+        grid = random_pure_grid(3, 120)
+        n_rows = sum(t.probs.size for t in phen.tables) + 1
+        for _ in range(3):
+            assert_dual_columns_match(phen, grid, rng.standard_normal(n_rows))
