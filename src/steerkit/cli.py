@@ -5,7 +5,7 @@ Commands: `criteria list`, `eval`, `sweep`, `boundary`, `oracle`,
 over mixed verdicts compose in shell pipelines. Exit codes: 0 = ran,
 1 = runtime/solver error, 2 = usage error. Identical configurations produce
 byte-identical output (fixed ordering, 17-significant-digit floats, no
-timestamps). STEER_THREADS caps sweep parallelism.
+timestamps).
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +22,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .criteria import CATALOG, CriterionResult, evaluate
-from .families import FAMILIES, boundary_bisect, make_state
+from .families import FAMILIES, boundary_bisect, make_state, sweep
 from .gaussian import (
     boundary_collective_steering_mu,
     boundary_entanglement_mu,
@@ -58,7 +56,6 @@ class RunConfig:
     certify: bool = False
     certificate_out: str | None = None
     gain_mode: str | None = None
-    seed: int | None = None
     tag: str | None = None
 
 
@@ -112,17 +109,6 @@ def _parse_bracket(spec: str) -> tuple[float, float]:
         raise UsageError(f"cannot parse bracket {spec!r}: {exc}") from None
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("STEER_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise UsageError(f"STEER_THREADS must be an integer, got {raw!r}") from None
-    return max(1, workers)
-
-
 def _family_params(args: argparse.Namespace, family: str, skip: str | None = None) -> dict[str, float]:
     """Collect and range-check the family parameters supplied as flags."""
     if family not in FAMILIES:
@@ -147,16 +133,13 @@ def _family_params(args: argparse.Namespace, family: str, skip: str | None = Non
     return params
 
 
-_FAMILY_KIND = {"werner": "spin", "singlet": "spin", "symmetric-gaussian": "cv"}
-
-
 def _check_criterion(criterion_id: str, family: str) -> None:
     if criterion_id not in CATALOG:
         raise UsageError(f"unknown criterion {criterion_id!r}")
-    if criterion_id == "custom-convex":
-        raise UsageError("custom-convex needs explicit convex terms; use the library API")
-    kind = CATALOG[criterion_id].kind
-    if kind != _FAMILY_KIND.get(family, kind):
+    info = CATALOG[criterion_id]
+    if info.evaluator is None:
+        raise UsageError(f"{criterion_id} needs explicit convex terms; use the library API")
+    if info.kind != FAMILIES[family].kind:
         raise UsageError(f"criterion {criterion_id!r} is not applicable to family {family!r}")
 
 
@@ -203,10 +186,7 @@ def _result_record(result: CriterionResult, config: RunConfig) -> dict:
 
 def cmd_eval(config: RunConfig) -> int:
     state = make_state(config.family, **config.params)
-    options = {}
-    if config.gain_mode is not None:
-        options["gain_mode"] = config.gain_mode
-    result = evaluate(config.criterion_id, state, **options)
+    result = evaluate(config.criterion_id, state, gain_mode=config.gain_mode)
     if config.fmt == "csv":
         header = ["criterion_id", "lhs_value", "bound", "direction", "margin", "violated"]
         row = [
@@ -228,49 +208,36 @@ def cmd_eval(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    from .families import evaluate_on_family
-
-    options = {}
-    if config.gain_mode is not None:
-        options["gain_mode"] = config.gain_mode
-
-    def run_point(value: float) -> CriterionResult:
-        return evaluate_on_family(
-            config.criterion_id, config.family, {**config.params, config.param: value}, **options
-        )
-
-    workers = _max_workers()
-    if workers > 1 and len(config.grid_values) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_point, config.grid_values))
-    else:
-        results = [run_point(v) for v in config.grid_values]
-
+    rows = sweep(
+        config.criterion_id,
+        config.family,
+        config.param,
+        config.grid_values,
+        fixed=config.params,
+        gain_mode=config.gain_mode,
+    )
     if config.fmt == "json":
         records = [
             {
-                "parameter": value,
-                "lhs": r.lhs_value,
+                "parameter": r.parameter,
+                "lhs": r.lhs,
                 "bound": r.bound,
                 "margin": r.margin,
                 "violated": r.violated,
             }
-            for value, r in zip(config.grid_values, results)
+            for r in rows
         ]
         _emit(_json_text(records), config.out)
     else:
-        rows = [
-            [_fmt(value), _fmt(r.lhs_value), _fmt(r.bound), _fmt(r.margin), _bool(r.violated)]
-            for value, r in zip(config.grid_values, results)
+        table = [
+            [_fmt(r.parameter), _fmt(r.lhs), _fmt(r.bound), _fmt(r.margin), _bool(r.violated)]
+            for r in rows
         ]
-        _emit(_csv_table(["parameter", "lhs", "bound", "margin", "violated"], rows), config.out)
+        _emit(_csv_table(["parameter", "lhs", "bound", "margin", "violated"], table), config.out)
     return EXIT_OK
 
 
 def cmd_boundary(config: RunConfig) -> int:
-    options = {}
-    if config.gain_mode is not None:
-        options["gain_mode"] = config.gain_mode
     result = boundary_bisect(
         config.criterion_id,
         config.family,
@@ -278,7 +245,7 @@ def cmd_boundary(config: RunConfig) -> int:
         bracket=config.bracket,
         tol=config.tol,
         fixed=config.params,
-        **options,
+        gain_mode=config.gain_mode,
     )
     record = {
         "criterion_id": result.criterion_id,
@@ -326,6 +293,12 @@ def read_measurement_file(path: str) -> tuple[Measurement, ...]:
     effects: list[np.ndarray] = []
     rows: list[list[complex]] = []
 
+    def number(text: str, lineno: int) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            raise ValueError(f"line {lineno}: cannot parse number {text.strip()!r}") from None
+
     def close_effect() -> None:
         if not rows:
             if values:
@@ -360,15 +333,26 @@ def read_measurement_file(path: str) -> tuple[Measurement, ...]:
             if not label:
                 raise ValueError(f"line {lineno}: measurement needs a label")
         elif line.startswith("outcome"):
+            if label is None:
+                raise ValueError(f"line {lineno}: outcome before the first measurement line")
             close_effect()
-            values.append(float(line[len("outcome") :]))
+            values.append(number(line[len("outcome") :], lineno))
         else:
+            if not values:
+                raise ValueError(f"line {lineno}: matrix row before the first outcome line")
             fields = line.split()
             if len(fields) % 2 != 0:
                 raise ValueError(f"line {lineno}: expected re/im pairs, got {len(fields)} numbers")
-            rows.append(
-                [complex(float(fields[i]), float(fields[i + 1])) for i in range(0, len(fields), 2)]
-            )
+            row = [
+                complex(number(fields[i], lineno), number(fields[i + 1], lineno))
+                for i in range(0, len(fields), 2)
+            ]
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"line {lineno}: effect row of {label!r} has {len(row)} entries, "
+                    f"the rows above have {len(rows[0])}"
+                )
+            rows.append(row)
     close_measurement()
     if not measurements:
         raise ValueError(f"no measurements found in {path}")
@@ -389,19 +373,25 @@ def write_measurement_file(path: str, measurements: tuple[Measurement, ...]) -> 
 def cmd_oracle(config: RunConfig) -> int:
     if config.oracle_grid < 1:
         raise UsageError(f"--grid must be >= 1, got {config.oracle_grid}")
-    state = make_state(config.family, **config.params)
-    if not hasattr(state, "dim_b"):
+    if FAMILIES[config.family].kind != "spin":
         raise UsageError(f"oracle needs a finite-dimensional family, not {config.family!r}")
+    state = make_state(config.family, **config.params)
     if config.measurements in ("mub2", "mub3"):
         if state.dim_a != 2 or state.dim_b != 2:
             raise UsageError("mub2/mub3 presets need qubit subsystems")
         measurements = oracle_mod.mub_qubit_measurements(int(config.measurements[-1]))
     else:
         measurements = read_measurement_file(config.measurements)
+        for meas in measurements:
+            if meas.dim != state.dim_a or meas.dim != state.dim_b:
+                raise UsageError(
+                    f"measurement file {config.measurements!r} has dimension {meas.dim} "
+                    f"(measurement {meas.label!r}), but family {config.family!r} has "
+                    f"subsystem dimensions {state.dim_a} and {state.dim_b}"
+                )
     strategy = all_pairs_strategy(measurements, measurements)
     phen = oracle_mod.phenomenon_from_state(state, strategy)
-    seed = config.seed if config.seed is not None else oracle_mod.GRID_SEED
-    grid = oracle_mod.hidden_state_grid(state.dim_b, config.oracle_grid, seed)
+    grid = oracle_mod.hidden_state_grid(state.dim_b, config.oracle_grid)
 
     outcome = oracle_mod.lhs_feasible(phen, grid)
     lines: list[str] = []
@@ -516,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_p.add_argument("--grid", type=int, required=True, help="hidden-state grid resolution")
     oracle_p.add_argument("--certify", action="store_true")
     oracle_p.add_argument("--certificate-out", default=None)
-    oracle_p.add_argument("--seed", type=int, default=None, help="seed for grids in dimension > 2")
     oracle_p.add_argument("--out", default=None)
 
     figure_p = sub.add_parser("figure", help="emit curve data")
@@ -559,7 +548,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         config.oracle_grid = args.grid
         config.certify = args.certify
         config.certificate_out = args.certificate_out
-        config.seed = args.seed
     if args.command == "figure":
         config.grid_values = _parse_grid(args.nbar_grid)
     return config

@@ -28,10 +28,6 @@ def is_hermitian(m: np.ndarray, atol: float = ATOL_STRUCTURAL) -> bool:
     return m.ndim == 2 and m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= atol
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with `a` indexing the coarse blocks."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

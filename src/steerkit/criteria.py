@@ -30,6 +30,7 @@ from .measurements import (
     JointDistribution,
     Measurement,
     PROB_FLOOR,
+    _conditional_means,
     collective_variance,
     inference_variance,
     inferred_abs_mean,
@@ -145,14 +146,12 @@ def _plan_joints(state: BipartiteState, plan: InferencePlan) -> list[JointDistri
 
 def _conditional_mean_details(joint: JointDistribution, tag: str) -> dict[str, float]:
     """Per-Alice-outcome conditional means of B, keyed by the outcome value."""
-    weights = joint.marginal_a()
-    b = np.asarray(joint.b_values)
-    details = {}
-    for idx, weight in enumerate(weights):
-        if weight > PROB_FLOOR:
-            mean = float(joint.probs[idx] @ b) / weight
-            details[f"conditional_mean_{tag}[{joint.a_values[idx]:g}]"] = mean
-    return details
+    weights, means = _conditional_means(joint)
+    return {
+        f"conditional_mean_{tag}[{joint.a_values[idx]:g}]": float(means[idx])
+        for idx, weight in enumerate(weights)
+        if weight > PROB_FLOOR
+    }
 
 
 def _require_three_pairs(plan: InferencePlan, criterion_id: str) -> None:
@@ -160,15 +159,23 @@ def _require_three_pairs(plan: InferencePlan, criterion_id: str) -> None:
         raise ValueError(f"{criterion_id} needs a plan with three inference pairs, got {len(plan.pairs)}")
 
 
-def eval_product_criterion(state: BipartiteState, plan: InferencePlan) -> CriterionResult:
-    """D_inf(B1)·D_inf(B2) ≥ |<B3>|_inf / 2 for Bob observables with [b1, b2] = i·b3."""
-    _require_three_pairs(plan, "product-spin")
+def _uncertainty_pair_terms(
+    state: BipartiteState, plan: InferencePlan, criterion_id: str
+) -> tuple[list[np.ndarray], list[JointDistribution], float, float]:
+    """Shared prologue of the [b1, b2] = i·b3 criteria: Bob operators, joints, Var_inf(B1), Var_inf(B2)."""
+    _require_three_pairs(plan, criterion_id)
     b_ops = [operator_of(p.bob) for p in plan.pairs]
     labels = [p.bob.label for p in plan.pairs]
     _check_commutation(b_ops, labels, cyclic=False)
     joints = _plan_joints(state, plan)
     v1 = inference_variance(joints[0], plan.pairs[0].estimator)
     v2 = inference_variance(joints[1], plan.pairs[1].estimator)
+    return b_ops, joints, v1, v2
+
+
+def eval_product_criterion(state: BipartiteState, plan: InferencePlan) -> CriterionResult:
+    """D_inf(B1)·D_inf(B2) ≥ |<B3>|_inf / 2 for Bob observables with [b1, b2] = i·b3."""
+    _, joints, v1, v2 = _uncertainty_pair_terms(state, plan, "product-spin")
     abs_mean_inf = inferred_abs_mean(joints[2])
     lhs = math.sqrt(v1) * math.sqrt(v2)
     details: dict[str, float | str] = {
@@ -184,13 +191,7 @@ def eval_product_criterion(state: BipartiteState, plan: InferencePlan) -> Criter
 
 def eval_bowen(state: BipartiteState, plan: InferencePlan) -> CriterionResult:
     """Weaker product criterion: the bound uses Bob's unconditional |<B3>|."""
-    _require_three_pairs(plan, "bowen")
-    b_ops = [operator_of(p.bob) for p in plan.pairs]
-    labels = [p.bob.label for p in plan.pairs]
-    _check_commutation(b_ops, labels, cyclic=False)
-    joints = _plan_joints(state, plan)
-    v1 = inference_variance(joints[0], plan.pairs[0].estimator)
-    v2 = inference_variance(joints[1], plan.pairs[1].estimator)
+    b_ops, _, v1, v2 = _uncertainty_pair_terms(state, plan, "bowen")
     rho_b = partial_trace(state, "b")
     abs_mean = abs(expectation(b_ops[2], rho_b))
     lhs = math.sqrt(v1) * math.sqrt(v2)
@@ -204,13 +205,7 @@ def eval_bowen(state: BipartiteState, plan: InferencePlan) -> CriterionResult:
 
 def eval_additive_sum_two(state: BipartiteState, plan: InferencePlan) -> CriterionResult:
     """Var_inf(B1) + Var_inf(B2) ≥ |<B3>|_inf; implied by the product criterion."""
-    _require_three_pairs(plan, "sum-two")
-    b_ops = [operator_of(p.bob) for p in plan.pairs]
-    labels = [p.bob.label for p in plan.pairs]
-    _check_commutation(b_ops, labels, cyclic=False)
-    joints = _plan_joints(state, plan)
-    v1 = inference_variance(joints[0], plan.pairs[0].estimator)
-    v2 = inference_variance(joints[1], plan.pairs[1].estimator)
+    _, joints, v1, v2 = _uncertainty_pair_terms(state, plan, "sum-two")
     abs_mean_inf = inferred_abs_mean(joints[2])
     details: dict[str, float | str] = {
         "inference_variance_1": v1,
@@ -318,7 +313,14 @@ class CollectiveTerm:
     gain: float = 1.0
 
 
-_COLLECTIVE_VARIANTS = ("product-cv", "sum-cv", "sum-spin", "product-arb", "sum-arb")
+# Collective variant -> the criterion id its results carry.
+_COLLECTIVE_VARIANTS = {
+    "product-cv": "collective-cv-product",
+    "sum-cv": "collective-cv-sum",
+    "sum-spin": "collective-spin-sum",
+    "product-arb": "collective-arb-product",
+    "sum-arb": "collective-arb-sum",
+}
 
 
 def _collective_term_variance(
@@ -406,14 +408,7 @@ def eval_collective(
             lhs, bound = sum(variances), abs_mean_inf
         else:
             lhs, bound = math.sqrt(variances[0]) * math.sqrt(variances[1]), 0.5 * abs_mean_inf
-    criterion_id = {
-        "sum-cv": "collective-cv-sum",
-        "product-cv": "collective-cv-product",
-        "sum-spin": "collective-spin-sum",
-        "sum-arb": "collective-arb-sum",
-        "product-arb": "collective-arb-product",
-    }[variant]
-    return _result(criterion_id, lhs, bound, VIOLATED_IF_BELOW, details)
+    return _result(_COLLECTIVE_VARIANTS[variant], lhs, bound, VIOLATED_IF_BELOW, details)
 
 
 def _spin_correlation_sum(state: BipartiteState, axes: str) -> tuple[float, dict[str, float | str]]:
@@ -517,20 +512,48 @@ def eval_additive_convex(
         if term.use_unconditional:
             contribution = term.f(joint.mean_b(), 0.0)
         else:
-            weights = joint.marginal_a()
+            weights, means = _conditional_means(joint)
             contribution = 0.0
             for a_idx, w in enumerate(weights):
                 if w > PROB_FLOOR:
-                    mean = float(joint.probs[a_idx] @ np.asarray(joint.b_values)) / w
-                    contribution += w * term.f(mean, joint.a_values[a_idx])
+                    contribution += w * term.f(float(means[a_idx]), joint.a_values[a_idx])
         details[f"term_{i + 1}"] = contribution
         lhs += contribution
     return _result("custom-convex", lhs, quantum_bound, VIOLATED_IF_ABOVE, details)
 
 
+def _cv_collective_terms(gains: tuple[float, float] | None) -> list[CollectiveTerm]:
+    gx, gp = gains if gains is not None else (-1.0, 1.0)
+    return [CollectiveTerm(X_A, X_B, gx), CollectiveTerm(P_A, P_B, gp)]
+
+
+def _spin_collective_terms(state: BipartiteState) -> list[CollectiveTerm]:
+    ops_a = spin_operators((state.dim_a - 1) / 2)
+    ops_b = spin_operators((state.dim_b - 1) / 2)
+    return [CollectiveTerm(ops_a.component(axis), ops_b.component(axis), 1.0) for axis in "xyz"]
+
+
+def _reid_cv_default(state, gain_mode, gains, use_min_variance):
+    if gains is not None:
+        return eval_reid_cv(state, use_min_variance=False, gains=gains)
+    return eval_reid_cv(state, use_min_variance=use_min_variance)
+
+
+# Catalog evaluators: (state, gain_mode, gains, use_min_variance) -> result.
+# They call the eval_* functions by name, so a wrapper installed on the module
+# attribute (the benchmark's tracer) sees every call; only the inference
+# criteria build the default spin plan.
+Evaluator = Callable[
+    [BipartiteState | GaussianState, str | None, tuple[float, float] | None, bool], CriterionResult
+]
+
+
 @dataclass(frozen=True)
 class CriterionInfo:
-    """Catalog descriptor: direction and human-readable formula for a criterion."""
+    """Catalog descriptor: direction, human-readable formula and default evaluator.
+
+    `evaluator` is None for criteria that need caller-supplied terms.
+    """
 
     criterion_id: str
     kind: str  # "spin" | "cv" | "any"
@@ -538,6 +561,7 @@ class CriterionInfo:
     lhs_desc: str
     bound_desc: str
     note: str = ""
+    evaluator: Evaluator | None = None
 
 
 CATALOG: dict[str, CriterionInfo] = {
@@ -547,57 +571,75 @@ CATALOG: dict[str, CriterionInfo] = {
             "reid-cv", "cv", VIOLATED_IF_BELOW,
             "D_inf(x_B) * D_inf(p_B)", "1",
             "conditional (Schur) variances by default; gain-based on request",
+            evaluator=_reid_cv_default,
         ),
         CriterionInfo(
             "product-spin", "spin", VIOLATED_IF_BELOW,
             "D_inf(B1) * D_inf(B2)", "|<B3>|_inf / 2",
             "needs [b1, b2] = i b3 on Bob's side",
+            evaluator=lambda state, *_: eval_product_criterion(state, default_spin_plan(state)),
         ),
         CriterionInfo(
             "bowen", "spin", VIOLATED_IF_BELOW,
             "D_inf(B1) * D_inf(B2)", "|<B3>| / 2",
             "unconditional bound; weaker than product-spin",
+            evaluator=lambda state, *_: eval_bowen(state, default_spin_plan(state)),
         ),
         CriterionInfo(
             "sum-two", "spin", VIOLATED_IF_BELOW,
             "Var_inf(B1) + Var_inf(B2)", "|<B3>|_inf",
             "violated only if product-spin is",
+            evaluator=lambda state, *_: eval_additive_sum_two(state, default_spin_plan(state)),
         ),
         CriterionInfo(
             "sum-three-spin", "spin", VIOLATED_IF_BELOW,
             "Var_inf(Jx) + Var_inf(Jy) + Var_inf(Jz)", "j",
+            evaluator=lambda state, *_: eval_additive_sum_three_spin(state, default_spin_plan(state)),
         ),
         CriterionInfo(
             "collective-cv-sum", "cv", VIOLATED_IF_BELOW,
             "Var(gx*x_A + x_B) + Var(gp*p_A + p_B)", "2",
             "default gains (-1, +1)",
+            evaluator=lambda state, gain_mode, gains, _: eval_collective(
+                state, _cv_collective_terms(gains), "sum-cv", gain_mode or "fixed"
+            ),
         ),
         CriterionInfo(
             "collective-cv-product", "cv", VIOLATED_IF_BELOW,
             "D(gx*x_A + x_B) * D(gp*p_A + p_B)", "1",
             "default gains (-1, +1)",
+            evaluator=lambda state, gain_mode, gains, _: eval_collective(
+                state, _cv_collective_terms(gains), "product-cv", gain_mode or "fixed"
+            ),
         ),
         CriterionInfo(
             "collective-spin-sum", "spin", VIOLATED_IF_BELOW,
             "sum_i Var(g_i*Ji_A + Ji_B)", "j",
             "gains optimized by default",
+            evaluator=lambda state, gain_mode, *_: eval_collective(
+                state, _spin_collective_terms(state), "sum-spin", gain_mode or "optimize"
+            ),
         ),
         CriterionInfo(
             "linear-2", "spin", VIOLATED_IF_ABOVE,
             "|<Jx_A Jx_B> + <Jy_A Jy_B>|", "sqrt(2)/4",
+            evaluator=lambda state, *_: eval_linear_qubit(state, 2),
         ),
         CriterionInfo(
             "linear-3", "spin", VIOLATED_IF_ABOVE,
             "|<Jx_A Jx_B> + <Jy_A Jy_B> + <Jz_A Jz_B>|", "sqrt(3)/4",
+            evaluator=lambda state, *_: eval_linear_qubit(state, 3),
         ),
         CriterionInfo(
             "linear-spin-j", "spin", VIOLATED_IF_ABOVE,
             "|sum_i <Ji_A Ji_B>|", "sqrt(3)*j^2",
+            evaluator=lambda state, *_: eval_linear_spin_j(state),
         ),
         CriterionInfo(
             "duan-simon", "cv", VIOLATED_IF_BELOW,
             "Var(x_A - x_B) + Var(p_A + p_B)", "4",
             "entanglement comparison criterion, not steering",
+            evaluator=lambda state, *_: eval_duan_simon(state),
         ),
         CriterionInfo(
             "custom-convex", "any", VIOLATED_IF_ABOVE,
@@ -606,11 +648,6 @@ CATALOG: dict[str, CriterionInfo] = {
         ),
     )
 }
-
-
-def _cv_collective_terms(gains: tuple[float, float] | None) -> list[CollectiveTerm]:
-    gx, gp = gains if gains is not None else (-1.0, 1.0)
-    return [CollectiveTerm(X_A, X_B, gx), CollectiveTerm(P_A, P_B, gp)]
 
 
 def evaluate(
@@ -633,38 +670,6 @@ def evaluate(
         raise ValueError(f"criterion {criterion_id} needs a Gaussian state")
     if info.kind == "spin" and not isinstance(state, BipartiteState):
         raise ValueError(f"criterion {criterion_id} needs a finite-dimensional bipartite state")
-
-    if criterion_id == "reid-cv":
-        if gains is not None:
-            return eval_reid_cv(state, use_min_variance=False, gains=gains)
-        return eval_reid_cv(state, use_min_variance=use_min_variance)
-    if criterion_id == "duan-simon":
-        return eval_duan_simon(state)
-    if criterion_id == "collective-cv-sum":
-        return eval_collective(state, _cv_collective_terms(gains), "sum-cv", gain_mode or "fixed")
-    if criterion_id == "collective-cv-product":
-        return eval_collective(state, _cv_collective_terms(gains), "product-cv", gain_mode or "fixed")
-
-    plan = default_spin_plan(state)
-    if criterion_id == "product-spin":
-        return eval_product_criterion(state, plan)
-    if criterion_id == "bowen":
-        return eval_bowen(state, plan)
-    if criterion_id == "sum-two":
-        return eval_additive_sum_two(state, plan)
-    if criterion_id == "sum-three-spin":
-        return eval_additive_sum_three_spin(state, plan)
-    if criterion_id == "collective-spin-sum":
-        ops = spin_operators((state.dim_b - 1) / 2)
-        ops_a = spin_operators((state.dim_a - 1) / 2)
-        terms = [
-            CollectiveTerm(ops_a.component(axis), ops.component(axis), 1.0) for axis in "xyz"
-        ]
-        return eval_collective(state, terms, "sum-spin", gain_mode or "optimize")
-    if criterion_id == "linear-2":
-        return eval_linear_qubit(state, 2)
-    if criterion_id == "linear-3":
-        return eval_linear_qubit(state, 3)
-    if criterion_id == "linear-spin-j":
-        return eval_linear_spin_j(state)
-    raise ValueError(f"criterion {criterion_id} cannot be evaluated without explicit terms")
+    if info.evaluator is None:
+        raise ValueError(f"criterion {criterion_id} cannot be evaluated without explicit terms")
+    return info.evaluator(state, gain_mode, gains, use_min_variance)

@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .core import BipartiteState, bipartite_from_matrix
-from .criteria import CriterionResult, evaluate
+from .criteria import evaluate
 from .gaussian import GaussianState, SymmetricTwoModeParams, symmetric_two_mode
 
 
@@ -32,9 +32,10 @@ def werner_state(mu: float) -> BipartiteState:
 
 @dataclass(frozen=True)
 class StateFamily:
-    """A named family: parameter ranges plus a state builder."""
+    """A named family: its criterion kind ("spin" or "cv"), parameter ranges and a state builder."""
 
     family_id: str
+    kind: str
     parameter_ranges: dict[str, tuple[float, float]]
     build: Callable[..., BipartiteState | GaussianState]
 
@@ -54,13 +55,14 @@ class StateFamily:
 
 
 FAMILIES: dict[str, StateFamily] = {
-    "werner": StateFamily("werner", {"mu": (0.0, 1.0)}, lambda mu: werner_state(mu)),
+    "werner": StateFamily("werner", "spin", {"mu": (0.0, 1.0)}, lambda mu: werner_state(mu)),
     "symmetric-gaussian": StateFamily(
         "symmetric-gaussian",
+        "cv",
         {"nbar": (0.0, math.inf), "mu": (0.0, 1.0)},
         lambda nbar, mu: symmetric_two_mode(SymmetricTwoModeParams(nbar=nbar, mu=mu)),
     ),
-    "singlet": StateFamily("singlet", {}, lambda: singlet_state()),
+    "singlet": StateFamily("singlet", "spin", {}, lambda: singlet_state()),
 }
 
 
@@ -68,12 +70,6 @@ def make_state(family_id: str, **params: float) -> BipartiteState | GaussianStat
     if family_id not in FAMILIES:
         raise KeyError(f"unknown family {family_id!r}")
     return FAMILIES[family_id].make(**params)
-
-
-def evaluate_on_family(
-    criterion_id: str, family_id: str, params: dict[str, float], **options
-) -> CriterionResult:
-    return evaluate(criterion_id, make_state(family_id, **params), **options)
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ def sweep(
     fixed = dict(fixed or {})
     rows = []
     for value in grid:
-        result = evaluate_on_family(criterion_id, family_id, {**fixed, param: float(value)}, **options)
+        result = evaluate(criterion_id, make_state(family_id, **{**fixed, param: float(value)}), **options)
         rows.append(
             SweepRow(
                 parameter=float(value),
@@ -160,7 +156,7 @@ def boundary_bisect(
     def verdict(value: float) -> bool:
         nonlocal evaluations
         evaluations += 1
-        return evaluate_on_family(criterion_id, family_id, {**fixed, param: value}, **options).violated
+        return evaluate(criterion_id, make_state(family_id, **{**fixed, param: value}), **options).violated
 
     v_lo, v_hi = verdict(lo), verdict(hi)
     if v_lo == v_hi:

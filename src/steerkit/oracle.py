@@ -16,7 +16,6 @@ eigenvalue, which is grid-free.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -193,12 +192,6 @@ def _strategy_count(outcome_counts: Sequence[int]) -> int:
 def _strategy_block(outcome_counts: Sequence[int], start: int, stop: int) -> tuple[np.ndarray, ...]:
     """Strategies start..stop-1 as one outcome-index array per setting, in itertools.product order."""
     return np.unravel_index(np.arange(start, stop), tuple(outcome_counts))
-
-
-def enumerate_strategies(outcome_counts: Sequence[int]) -> list[tuple[int, ...]]:
-    """All deterministic Alice strategies: one outcome index per setting."""
-    _strategy_count(outcome_counts)
-    return list(itertools.product(*(range(n) for n in outcome_counts)))
 
 
 def _bob_probability_table(
@@ -461,15 +454,17 @@ def reproduce_tables(
     P(A,B|a,b) = Σ_{k: k(a)=A, λ} w[k,λ]·Tr[F_B^b ρ_λ].
     """
     bob = tuple(bob_measurements) if bob_measurements is not None else phen.strategy.bob
-    strategies = enumerate_strategies([m.n_outcomes for m in phen.strategy.alice])
-    if weights.shape != (len(strategies), len(grid.states)):
+    counts = [m.n_outcomes for m in phen.strategy.alice]
+    n_strategies = _strategy_count(counts)
+    if weights.shape != (n_strategies, len(grid.states)):
         raise ValueError(f"weights shape {weights.shape} does not match strategies x grid")
+    outcomes = _strategy_block(counts, 0, n_strategies)
     q_tables = _bob_probability_table(phen, grid, bob)
     rebuilt = []
     for (a_idx, b_idx), table in zip(phen.strategy.pairing, phen.tables):
         out = np.zeros_like(table.probs)
-        for k, strat in enumerate(strategies):
-            out[strat[a_idx]] += weights[k] @ q_tables[b_idx].T
+        for k, outcome in enumerate(outcomes[a_idx]):
+            out[outcome] += weights[k] @ q_tables[b_idx].T
         rebuilt.append(out)
     return rebuilt
 

@@ -1,7 +1,9 @@
-"""Loop implementations of the oracle's exact bound, LP system and grids.
+"""Reference implementations that the library must reproduce exactly.
 
-A compact copy of the original scalar loops, kept as the reference that the
-array code in `steerkit.oracle` must reproduce bit for bit.
+Compact copies of the oracle's original scalar loops (exact bound, LP system,
+grids), which the array code in `steerkit.oracle` must match bit for bit, and
+of the criteria's original if-chain dispatch, which the `CATALOG` evaluators
+must match result for result.
 """
 
 from __future__ import annotations
@@ -10,7 +12,22 @@ import itertools
 
 import numpy as np
 
-from steerkit.core import DensityMatrix, spin_operators
+from steerkit.core import BipartiteState, DensityMatrix, spin_operators
+from steerkit.criteria import (
+    CATALOG,
+    CollectiveTerm,
+    default_spin_plan,
+    eval_additive_sum_three_spin,
+    eval_additive_sum_two,
+    eval_bowen,
+    eval_collective,
+    eval_duan_simon,
+    eval_linear_qubit,
+    eval_linear_spin_j,
+    eval_product_criterion,
+    eval_reid_cv,
+)
+from steerkit.gaussian import P_A, P_B, X_A, X_B, GaussianState
 from steerkit.oracle import HiddenStateGrid
 
 
@@ -93,3 +110,54 @@ def random_pure_grid(dim, resolution, seed):
         states.append(DensityMatrix(np.outer(psi, psi.conj())))
     states.append(DensityMatrix(np.eye(dim, dtype=complex) / dim))
     return HiddenStateGrid(states=tuple(states), resolution=resolution)
+
+
+def _cv_collective_terms(gains):
+    gx, gp = gains if gains is not None else (-1.0, 1.0)
+    return [CollectiveTerm(X_A, X_B, gx), CollectiveTerm(P_A, P_B, gp)]
+
+
+def evaluate_if_chain(criterion_id, state, gain_mode=None, gains=None, use_min_variance=True):
+    """`criteria.evaluate` as one branch per criterion id, building the spin plan first."""
+    if criterion_id not in CATALOG:
+        raise KeyError(f"unknown criterion {criterion_id!r}")
+    info = CATALOG[criterion_id]
+    if info.kind == "cv" and not isinstance(state, GaussianState):
+        raise ValueError(f"criterion {criterion_id} needs a Gaussian state")
+    if info.kind == "spin" and not isinstance(state, BipartiteState):
+        raise ValueError(f"criterion {criterion_id} needs a finite-dimensional bipartite state")
+
+    if criterion_id == "reid-cv":
+        if gains is not None:
+            return eval_reid_cv(state, use_min_variance=False, gains=gains)
+        return eval_reid_cv(state, use_min_variance=use_min_variance)
+    if criterion_id == "duan-simon":
+        return eval_duan_simon(state)
+    if criterion_id == "collective-cv-sum":
+        return eval_collective(state, _cv_collective_terms(gains), "sum-cv", gain_mode or "fixed")
+    if criterion_id == "collective-cv-product":
+        return eval_collective(state, _cv_collective_terms(gains), "product-cv", gain_mode or "fixed")
+
+    plan = default_spin_plan(state)
+    if criterion_id == "product-spin":
+        return eval_product_criterion(state, plan)
+    if criterion_id == "bowen":
+        return eval_bowen(state, plan)
+    if criterion_id == "sum-two":
+        return eval_additive_sum_two(state, plan)
+    if criterion_id == "sum-three-spin":
+        return eval_additive_sum_three_spin(state, plan)
+    if criterion_id == "collective-spin-sum":
+        ops = spin_operators((state.dim_b - 1) / 2)
+        ops_a = spin_operators((state.dim_a - 1) / 2)
+        terms = [
+            CollectiveTerm(ops_a.component(axis), ops.component(axis), 1.0) for axis in "xyz"
+        ]
+        return eval_collective(state, terms, "sum-spin", gain_mode or "optimize")
+    if criterion_id == "linear-2":
+        return eval_linear_qubit(state, 2)
+    if criterion_id == "linear-3":
+        return eval_linear_qubit(state, 3)
+    if criterion_id == "linear-spin-j":
+        return eval_linear_spin_j(state)
+    raise ValueError(f"criterion {criterion_id} cannot be evaluated without explicit terms")

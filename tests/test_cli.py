@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from steerkit.cli import main, read_measurement_file, write_measurement_file
+from steerkit.measurements import observable_to_measurement
 from steerkit.oracle import mub_qubit_measurements
 
 
@@ -120,12 +121,6 @@ class TestSweep:
         _, first, _ = run_cli(capsys, *self.ARGS)
         _, second, _ = run_cli(capsys, *self.ARGS)
         assert first == second
-
-    def test_threads_do_not_change_output(self, capsys, monkeypatch):
-        _, reference, _ = run_cli(capsys, *self.ARGS)
-        monkeypatch.setenv("STEER_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *self.ARGS)
-        assert threaded == reference
 
     def test_csv_round_trip_matches_json(self, capsys):
         _, csv_out, _ = run_cli(capsys, *self.ARGS)
@@ -268,6 +263,41 @@ class TestMeasurementFile:
             "oracle", "--family", "werner", "--mu", "0.4", "--measurements", str(path), "--grid", "40",
         )
         assert code == 1
+
+    def _oracle_on_file(self, capsys, tmp_path, text):
+        path = tmp_path / "measurements.txt"
+        path.write_text(text)
+        return run_cli(
+            capsys,
+            "oracle", "--family", "werner", "--mu", "0.4", "--measurements", str(path), "--grid", "40",
+        )
+
+    def test_outcome_before_first_measurement_exits_1(self, capsys, tmp_path):
+        # Without the check the orphan block is dropped and the mub2 file runs.
+        valid = tmp_path / "mub2.txt"
+        write_measurement_file(str(valid), mub_qubit_measurements(2))
+        text = "outcome 1\n1 0 0 0\n0 0 0 0\n" + valid.read_text()
+        code, _, err = self._oracle_on_file(capsys, tmp_path, text)
+        assert code == 1
+        assert "line 1: outcome before the first measurement line" in err
+
+    def test_ragged_row_names_line_and_label(self, capsys, tmp_path):
+        code, _, err = self._oracle_on_file(capsys, tmp_path, "measurement Jz\noutcome 0.5\n1 0 0 0\n0 0\n")
+        assert code == 1
+        assert "line 4:" in err and "'Jz'" in err
+
+    def test_unparsable_number_names_line(self, capsys, tmp_path):
+        code, _, err = self._oracle_on_file(capsys, tmp_path, "measurement Jz\noutcome half\n1 0 0 0\n0 0 0 0\n")
+        assert code == 1
+        assert "line 2:" in err and "'half'" in err
+
+    def test_qutrit_file_on_qubit_family_exits_2(self, capsys, tmp_path):
+        qutrit = tmp_path / "qutrit.txt"
+        write_measurement_file(str(qutrit), (observable_to_measurement(np.diag([1.0, 0.0, -1.0]), "Jz"),))
+        code, out, err = self._oracle_on_file(capsys, tmp_path, qutrit.read_text())
+        assert code == 2
+        assert out == ""
+        assert "measurements.txt" in err and "dimension 3" in err and "'werner'" in err
 
 
 class TestFigure:

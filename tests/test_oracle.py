@@ -12,7 +12,6 @@ from steerkit.oracle import (
     HiddenStateGrid,
     SteeringFunctional,
     certify_steering,
-    enumerate_strategies,
     feasibility_flip,
     functional_from_dual,
     lhs_feasible,
@@ -102,17 +101,6 @@ class TestGrids:
         states = qubit_grid(2).states + random_pure_grid(3, 2).states
         with pytest.raises(ValueError, match=r"dimensions \[2, 3\]"):
             HiddenStateGrid(states=states, resolution=4)
-
-
-class TestStrategyEnumeration:
-    def test_small(self):
-        strategies = enumerate_strategies([2, 2, 2])
-        assert len(strategies) == 8
-        assert strategies[0] == (0, 0, 0)
-
-    def test_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            enumerate_strategies([10] * 7)
 
 
 class TestFeasibility:
