@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle as oracle_mod
-from .criteria import CATALOG, CriterionResult, evaluate
+from .criteria import _COLLECTIVE_VARIANTS, CATALOG, CriterionResult, evaluate
 from .families import FAMILIES, boundary_bisect, make_state, sweep
 from .gaussian import (
     boundary_collective_steering_mu,
@@ -133,7 +133,7 @@ def _family_params(args: argparse.Namespace, family: str, skip: str | None = Non
     return params
 
 
-def _check_criterion(criterion_id: str, family: str) -> None:
+def _check_criterion(criterion_id: str, family: str, gain_mode: str | None) -> None:
     if criterion_id not in CATALOG:
         raise UsageError(f"unknown criterion {criterion_id!r}")
     info = CATALOG[criterion_id]
@@ -141,6 +141,8 @@ def _check_criterion(criterion_id: str, family: str) -> None:
         raise UsageError(f"{criterion_id} needs explicit convex terms; use the library API")
     if info.kind != FAMILIES[family].kind:
         raise UsageError(f"criterion {criterion_id!r} is not applicable to family {family!r}")
+    if gain_mode is not None and criterion_id not in set(_COLLECTIVE_VARIANTS.values()):
+        raise UsageError(f"--gain-mode applies only to the collective criteria, not to {criterion_id!r}")
 
 
 def cmd_list(config: RunConfig) -> int:
@@ -524,7 +526,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config.tag = getattr(args, "tag", None)
     config.gain_mode = getattr(args, "gain_mode", None)
     if args.command in ("eval", "sweep", "boundary"):
-        _check_criterion(args.criterion, args.family)
+        _check_criterion(args.criterion, args.family, config.gain_mode)
         config.criterion_id = args.criterion
         config.family = args.family
     if args.command == "eval":

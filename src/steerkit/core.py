@@ -8,6 +8,7 @@ projector indices map to outcome labels deterministically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,17 @@ def is_hermitian(m: np.ndarray, atol: float = ATOL_STRUCTURAL) -> bool:
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with `a` indexing the coarse blocks."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two matrices, with `a` indexing the coarse blocks.
+
+    A broadcast outer product: each entry a[i, k]·b[j, l] comes from the same
+    complex multiply as in np.kron, so the result is bitwise np.kron's.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"tensor_product needs two matrices, got shapes {a.shape} and {b.shape}")
+    product = a[:, None, :, None] * b[None, :, None, :]
+    return product.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def check_density_matrices(m: np.ndarray) -> None:
@@ -171,10 +181,18 @@ class SpinOperators:
 
 
 def spin_operators(j: float) -> SpinOperators:
-    """Ladder-operator construction of the spin-j matrices."""
+    """Ladder-operator construction of the spin-j matrices.
+
+    The triple is built once per j and shared: its arrays are read-only.
+    """
     two_j = round(2 * j)
     if two_j < 1 or abs(2 * j - two_j) > 1e-12:
         raise ValueError(f"j must be a positive half-integer, got {j}")
+    return _spin_operators(int(two_j))
+
+
+@functools.lru_cache(maxsize=8)
+def _spin_operators(two_j: int) -> SpinOperators:
     j = two_j / 2.0
     dim = two_j + 1
     m = j - np.arange(dim)  # m = j, j-1, ..., -j

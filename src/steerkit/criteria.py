@@ -9,6 +9,7 @@ for local models.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -104,22 +105,23 @@ class InferencePlan:
     pairs: tuple[InferencePair, ...]
 
 
+@functools.lru_cache(maxsize=8)
+def _spin_measurements(j: float, party: str) -> tuple[Measurement, Measurement, Measurement]:
+    """(Jx, Jy, Jz) of a spin-j party as measurements labelled J{axis}_{party}.
+
+    Built once per (j, party) and shared; Measurement effects are read-only.
+    """
+    ops = spin_operators(j)
+    return tuple(observable_to_measurement(ops.component(axis), f"J{axis}_{party}") for axis in "xyz")
+
+
 def spin_triple_plan(
     j_alice: float, j_bob: float | None = None, estimator: Estimator = CONDITIONAL_MEAN
 ) -> InferencePlan:
     """Plan measuring the same spin component (x, y, z) on both sides."""
     j_bob = j_alice if j_bob is None else j_bob
-    ja, jb = spin_operators(j_alice), spin_operators(j_bob)
-    pairs = []
-    for axis in "xyz":
-        pairs.append(
-            InferencePair(
-                alice=observable_to_measurement(ja.component(axis), f"J{axis}_A"),
-                bob=observable_to_measurement(jb.component(axis), f"J{axis}_B"),
-                estimator=estimator,
-            )
-        )
-    return InferencePlan(pairs=tuple(pairs))
+    alice, bob = _spin_measurements(j_alice, "A"), _spin_measurements(j_bob, "B")
+    return InferencePlan(pairs=tuple(InferencePair(a, b, estimator) for a, b in zip(alice, bob)))
 
 
 def default_spin_plan(state: BipartiteState, estimator: Estimator = CONDITIONAL_MEAN) -> InferencePlan:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -13,8 +14,12 @@ from .criteria import evaluate
 from .gaussian import GaussianState, SymmetricTwoModeParams, symmetric_two_mode
 
 
+@functools.lru_cache(maxsize=1)
 def singlet_state() -> BipartiteState:
-    """The two-qubit singlet (|+1/2,-1/2> - |-1/2,+1/2>)/√2."""
+    """The two-qubit singlet (|+1/2,-1/2> - |-1/2,+1/2>)/√2.
+
+    Built and validated once; the shared matrix is read-only.
+    """
     psi = np.zeros(4, dtype=complex)
     psi[1] = 1.0 / math.sqrt(2)
     psi[2] = -1.0 / math.sqrt(2)

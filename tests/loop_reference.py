@@ -1,9 +1,11 @@
 """Reference implementations that the library must reproduce exactly.
 
 Compact copies of the oracle's original scalar loops (exact bound, LP system,
-grids), which the array code in `steerkit.oracle` must match bit for bit, and
-of the criteria's original if-chain dispatch, which the `CATALOG` evaluators
-must match result for result.
+grids), which the array code in `steerkit.oracle` must match bit for bit; of
+the original Born rule (one np.kron and trace per effect pair), which
+`measure_joint` and `tensor_product` must match bit for bit; and of the
+criteria's original if-chain dispatch, which the `CATALOG` evaluators must
+match result for result.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from steerkit.criteria import (
     eval_reid_cv,
 )
 from steerkit.gaussian import P_A, P_B, X_A, X_B, GaussianState
+from steerkit.measurements import JointDistribution
 from steerkit.oracle import HiddenStateGrid
 
 
@@ -110,6 +113,21 @@ def random_pure_grid(dim, resolution, seed):
         states.append(DensityMatrix(np.outer(psi, psi.conj())))
     states.append(DensityMatrix(np.eye(dim, dtype=complex) / dim))
     return HiddenStateGrid(states=tuple(states), resolution=resolution)
+
+
+def kron(a, b):
+    """`core.tensor_product` as np.kron on complex copies."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def measure_joint(state, a, b):
+    """Born-rule table P(A, B) = Tr[W (E_A ⊗ F_B)], one kron and trace per pair."""
+    w = state.matrix
+    probs = np.empty((a.n_outcomes, b.n_outcomes))
+    for i, ea in enumerate(a.effects):
+        for k, fb in enumerate(b.effects):
+            probs[i, k] = np.trace(w @ kron(ea, fb)).real
+    return JointDistribution(a_values=a.values, b_values=b.values, probs=probs)
 
 
 def _cv_collective_terms(gains):

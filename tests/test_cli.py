@@ -184,6 +184,47 @@ class TestBoundary:
         assert optimized == pytest.approx(math.sqrt(3) / 2, abs=1e-8)
 
 
+class TestGainMode:
+    WERNER = ("--family", "werner", "--mu", "0.8")
+    GAUSSIAN = ("--family", "symmetric-gaussian", "--nbar", "1", "--mu", "0.9")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--criterion", "linear-3", *WERNER),
+            ("eval", "--criterion", "reid-cv", *GAUSSIAN),
+            ("sweep", "--criterion", "product-spin", "--family", "werner", "--param", "mu",
+             "--grid", "0:1:3"),
+            ("boundary", "--criterion", "duan-simon", "--family", "symmetric-gaussian",
+             "--nbar", "1", "--param", "mu"),
+        ],
+        ids=["eval", "eval-cv", "sweep", "boundary"],
+    )
+    @pytest.mark.parametrize("mode", ["fixed", "optimize"])
+    def test_non_collective_criterion_exits_2(self, capsys, argv, mode):
+        code, out, err = run_cli(capsys, *argv, "--gain-mode", mode)
+        assert code == 2
+        assert out == ""
+        assert f"not to {argv[2]!r}" in err
+
+    @pytest.mark.parametrize(
+        "criterion, family",
+        [("collective-spin-sum", WERNER), ("collective-cv-sum", GAUSSIAN),
+         ("collective-cv-product", GAUSSIAN)],
+    )
+    def test_collective_criteria_accept_it(self, capsys, criterion, family):
+        code, out, _ = run_cli(capsys, "eval", "--criterion", criterion, *family, "--gain-mode", "fixed")
+        assert code == 0
+        assert json.loads(out)["details"]["gain_mode"] == "fixed"
+
+    def test_library_evaluate_still_ignores_it(self):
+        from steerkit.criteria import evaluate
+        from steerkit.families import werner_state
+
+        state = werner_state(0.8)
+        assert evaluate("linear-3", state, gain_mode="optimize") == evaluate("linear-3", state)
+
+
 class TestOracleCommand:
     def test_feasible_werner_04(self, capsys):
         code, out, _ = run_cli(

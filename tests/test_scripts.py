@@ -10,6 +10,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_script(command):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *command], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -20,10 +28,16 @@ ROOT = Path(__file__).resolve().parent.parent
     ids=lambda command: " ".join(command),
 )
 def test_documented_command_runs(command):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, *command], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
-    )
+    proc = run_script(command)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_oracle_refinement_stdout_repeats():
+    """Wall-clock timings go to stderr, so two runs print the same table."""
+    command = ["scripts/oracle_refinement.py", "--resolutions", "50"]
+    first, second = run_script(command), run_script(command)
+    assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+    assert first.stdout == second.stdout
+    assert "seconds" not in first.stdout
+    assert first.stderr.startswith("grid 50: ")
