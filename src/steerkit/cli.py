@@ -14,14 +14,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import oracle as oracle_mod
-from .criteria import _COLLECTIVE_VARIANTS, CATALOG, CriterionResult, evaluate
+from .criteria import _COLLECTIVE_VARIANTS, CATALOG, evaluate
 from .families import FAMILIES, boundary_bisect, make_state, sweep
 from .gaussian import (
     boundary_collective_steering_mu,
@@ -37,34 +37,8 @@ class UsageError(Exception):
     """Bad ids, ranges or flag combinations: reported with exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    """Parsed run configuration; `tag` is free-text metadata echoed to outputs."""
-
-    command: str
-    criterion_id: str | None = None
-    family: str | None = None
-    params: dict[str, float] = field(default_factory=dict)
-    param: str | None = None
-    grid_values: list[float] = field(default_factory=list)
-    bracket: tuple[float, float] | None = None
-    tol: float = 1e-9
-    fmt: str = "csv"
-    out: str | None = None
-    measurements: str | None = None
-    oracle_grid: int = 0
-    certify: bool = False
-    certificate_out: str | None = None
-    gain_mode: str | None = None
-    tag: str | None = None
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _bool(x: bool) -> str:
-    return "true" if x else "false"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -74,16 +48,26 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _csv_table(header: list[str], rows: list[list[str]]) -> str:
+def _emit_table(args: argparse.Namespace, json_obj, rows: list[dict]) -> None:
+    """Write `json_obj` as JSON, or `rows` as CSV headed by their keys, per `--format`.
+
+    CSV cells are `true`/`false` for bools, 17 significant digits for floats
+    and `str` for anything else.
+    """
+    if args.format == "json":
+        _emit(json.dumps(json_obj, indent=2) + "\n", args.out)
+        return
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    writer.writerow(rows[0])
+    for row in rows:
+        writer.writerow(
+            ("true" if value else "false") if isinstance(value, bool)
+            else _fmt(value) if isinstance(value, float)
+            else str(value)
+            for value in row.values()
+        )
+    _emit(buf.getvalue(), args.out)
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -96,6 +80,8 @@ def _parse_grid(spec: str) -> list[float]:
         raise UsageError(f"cannot parse grid {spec!r}: {exc}") from None
     if count < 1:
         raise UsageError(f"grid must contain at least one point, got count {count}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"grid endpoints must be finite, got {spec!r}")
     return [float(v) for v in np.linspace(lo, hi, count)]
 
 
@@ -104,19 +90,21 @@ def _parse_bracket(spec: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise UsageError(f"bracket must be lo:hi, got {spec!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise UsageError(f"cannot parse bracket {spec!r}: {exc}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"bracket endpoints must be finite, got {spec!r}")
+    return lo, hi
 
 
-def _family_params(args: argparse.Namespace, family: str, skip: str | None = None) -> dict[str, float]:
+def _family_params(args: argparse.Namespace, skip: str | None = None) -> dict[str, float]:
     """Collect and range-check the family parameters supplied as flags."""
-    if family not in FAMILIES:
-        raise UsageError(f"unknown family {family!r}")
+    family = args.family
     ranges = FAMILIES[family].parameter_ranges
     params: dict[str, float] = {}
     for name in ("mu", "nbar"):
-        value = getattr(args, name, None)
+        value = getattr(args, name)
         if value is None:
             continue
         if name not in ranges:
@@ -133,7 +121,13 @@ def _family_params(args: argparse.Namespace, family: str, skip: str | None = Non
     return params
 
 
-def _check_criterion(criterion_id: str, family: str, gain_mode: str | None) -> None:
+def _criterion_params(args: argparse.Namespace, swept: str | None) -> dict[str, float]:
+    """Check `--criterion` and `--gain-mode` against the family, then return its fixed parameters.
+
+    `swept` names the parameter that `sweep` or `boundary` varies; it must
+    belong to the family and must not also be set as a flag.
+    """
+    criterion_id, family = args.criterion, args.family
     if criterion_id not in CATALOG:
         raise UsageError(f"unknown criterion {criterion_id!r}")
     info = CATALOG[criterion_id]
@@ -141,113 +135,84 @@ def _check_criterion(criterion_id: str, family: str, gain_mode: str | None) -> N
         raise UsageError(f"{criterion_id} needs explicit convex terms; use the library API")
     if info.kind != FAMILIES[family].kind:
         raise UsageError(f"criterion {criterion_id!r} is not applicable to family {family!r}")
-    if gain_mode is not None and criterion_id not in set(_COLLECTIVE_VARIANTS.values()):
+    if args.gain_mode is not None and criterion_id not in set(_COLLECTIVE_VARIANTS.values()):
         raise UsageError(f"--gain-mode applies only to the collective criteria, not to {criterion_id!r}")
+    if swept is not None and swept not in FAMILIES[family].parameter_ranges:
+        raise UsageError(f"family {family!r} has no parameter {swept!r}")
+    return _family_params(args, skip=swept)
 
 
-def cmd_list(config: RunConfig) -> int:
-    infos = list(CATALOG.values())
-    if config.fmt == "json":
-        records = [
-            {
-                "criterion_id": info.criterion_id,
-                "kind": info.kind,
-                "direction": info.direction,
-                "lhs": info.lhs_desc,
-                "bound": info.bound_desc,
-                "note": info.note,
-            }
-            for info in infos
-        ]
-        _emit(_json_text(records), config.out)
-    else:
-        rows = [
-            [info.criterion_id, info.kind, info.direction, info.lhs_desc, info.bound_desc, info.note]
-            for info in infos
-        ]
-        _emit(_csv_table(["criterion_id", "kind", "direction", "lhs", "bound", "note"], rows), config.out)
+def cmd_list(args: argparse.Namespace) -> int:
+    rows = [
+        {
+            "criterion_id": info.criterion_id,
+            "kind": info.kind,
+            "direction": info.direction,
+            "lhs": info.lhs_desc,
+            "bound": info.bound_desc,
+            "note": info.note,
+        }
+        for info in CATALOG.values()
+    ]
+    _emit_table(args, rows, rows)
     return EXIT_OK
 
 
-def _result_record(result: CriterionResult, config: RunConfig) -> dict:
-    record = {
+def cmd_eval(args: argparse.Namespace) -> int:
+    params = _criterion_params(args, swept=None)
+    state = make_state(args.family, **params)
+    result = evaluate(args.criterion, state, gain_mode=args.gain_mode)
+    verdict = {
         "criterion_id": result.criterion_id,
         "lhs_value": result.lhs_value,
         "bound": result.bound,
         "direction": result.direction,
         "margin": result.margin,
         "violated": result.violated,
-        "family": config.family,
-        "parameters": dict(sorted(config.params.items())),
-        "details": {k: result.details[k] for k in sorted(result.details)},
     }
-    if config.tag is not None:
-        record["tag"] = config.tag
-    return record
-
-
-def cmd_eval(config: RunConfig) -> int:
-    state = make_state(config.family, **config.params)
-    result = evaluate(config.criterion_id, state, gain_mode=config.gain_mode)
-    if config.fmt == "csv":
-        header = ["criterion_id", "lhs_value", "bound", "direction", "margin", "violated"]
-        row = [
-            result.criterion_id,
-            _fmt(result.lhs_value),
-            _fmt(result.bound),
-            result.direction,
-            _fmt(result.margin),
-            _bool(result.violated),
-        ]
-        for key in sorted(result.details):
-            header.append(f"detail.{key}")
-            value = result.details[key]
-            row.append(_fmt(value) if isinstance(value, float) else str(value))
-        _emit(_csv_table(header, [row]), config.out)
-    else:
-        _emit(_json_text(_result_record(result, config)), config.out)
+    details = {key: result.details[key] for key in sorted(result.details)}
+    record = {
+        **verdict,
+        "family": args.family,
+        "parameters": dict(sorted(params.items())),
+        "details": details,
+    }
+    if args.tag is not None:
+        record["tag"] = args.tag
+    row = {**verdict, **{f"detail.{key}": value for key, value in details.items()}}
+    _emit_table(args, record, [row])
     return EXIT_OK
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    rows = sweep(
-        config.criterion_id,
-        config.family,
-        config.param,
-        config.grid_values,
-        fixed=config.params,
-        gain_mode=config.gain_mode,
+def cmd_sweep(args: argparse.Namespace) -> int:
+    params = _criterion_params(args, swept=args.param)
+    grid_values = _parse_grid(args.grid)
+    points = sweep(
+        args.criterion, args.family, args.param, grid_values, fixed=params, gain_mode=args.gain_mode
     )
-    if config.fmt == "json":
-        records = [
-            {
-                "parameter": r.parameter,
-                "lhs": r.lhs,
-                "bound": r.bound,
-                "margin": r.margin,
-                "violated": r.violated,
-            }
-            for r in rows
-        ]
-        _emit(_json_text(records), config.out)
-    else:
-        table = [
-            [_fmt(r.parameter), _fmt(r.lhs), _fmt(r.bound), _fmt(r.margin), _bool(r.violated)]
-            for r in rows
-        ]
-        _emit(_csv_table(["parameter", "lhs", "bound", "margin", "violated"], table), config.out)
+    rows = [
+        {"parameter": r.parameter, "lhs": r.lhs, "bound": r.bound, "margin": r.margin, "violated": r.violated}
+        for r in points
+    ]
+    _emit_table(args, rows, rows)
     return EXIT_OK
 
 
-def cmd_boundary(config: RunConfig) -> int:
+def cmd_boundary(args: argparse.Namespace) -> int:
+    params = _criterion_params(args, swept=args.param)
+    bracket = _parse_bracket(args.bracket) if args.bracket is not None else None
+    if args.tol <= 0:
+        raise UsageError(f"--tol must be positive, got {args.tol}")
+    if not math.isfinite(args.tol):
+        raise UsageError(f"--tol must be finite, got {args.tol}")
     result = boundary_bisect(
-        config.criterion_id,
-        config.family,
-        config.param,
-        bracket=config.bracket,
-        tol=config.tol,
-        fixed=config.params,
-        gain_mode=config.gain_mode,
+        args.criterion,
+        args.family,
+        args.param,
+        bracket=bracket,
+        tol=args.tol,
+        fixed=params,
+        gain_mode=args.gain_mode,
     )
     record = {
         "criterion_id": result.criterion_id,
@@ -260,24 +225,9 @@ def cmd_boundary(config: RunConfig) -> int:
         "tolerance": result.tolerance,
         "evaluations": result.evaluations,
     }
-    if config.fmt == "csv":
-        header = ["criterion_id", "family", "param", "threshold", "bracket_lo", "bracket_hi", "tolerance", "evaluations"]
-        row = [
-            result.criterion_id,
-            result.family_id,
-            result.param,
-            _fmt(result.threshold),
-            _fmt(result.bracket[0]),
-            _fmt(result.bracket[1]),
-            _fmt(result.tolerance),
-            str(result.evaluations),
-        ]
-        for name in sorted(result.fixed):
-            header.append(f"fixed.{name}")
-            row.append(_fmt(result.fixed[name]))
-        _emit(_csv_table(header, [row]), config.out)
-    else:
-        _emit(_json_text(record), config.out)
+    row = {key: value for key, value in record.items() if key != "fixed"}
+    row.update((f"fixed.{name}", value) for name, value in record["fixed"].items())
+    _emit_table(args, record, [row])
     return EXIT_OK
 
 
@@ -372,35 +322,36 @@ def write_measurement_file(path: str, measurements: tuple[Measurement, ...]) -> 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def cmd_oracle(config: RunConfig) -> int:
-    if config.oracle_grid < 1:
-        raise UsageError(f"--grid must be >= 1, got {config.oracle_grid}")
-    if FAMILIES[config.family].kind != "spin":
-        raise UsageError(f"oracle needs a finite-dimensional family, not {config.family!r}")
-    state = make_state(config.family, **config.params)
-    if config.measurements in ("mub2", "mub3"):
+def cmd_oracle(args: argparse.Namespace) -> int:
+    params = _family_params(args)
+    if args.grid < 1:
+        raise UsageError(f"--grid must be >= 1, got {args.grid}")
+    if FAMILIES[args.family].kind != "spin":
+        raise UsageError(f"oracle needs a finite-dimensional family, not {args.family!r}")
+    state = make_state(args.family, **params)
+    if args.measurements in ("mub2", "mub3"):
         if state.dim_a != 2 or state.dim_b != 2:
             raise UsageError("mub2/mub3 presets need qubit subsystems")
-        measurements = oracle_mod.mub_qubit_measurements(int(config.measurements[-1]))
+        measurements = oracle_mod.mub_qubit_measurements(int(args.measurements[-1]))
     else:
-        measurements = read_measurement_file(config.measurements)
+        measurements = read_measurement_file(args.measurements)
         for meas in measurements:
             if meas.dim != state.dim_a or meas.dim != state.dim_b:
                 raise UsageError(
-                    f"measurement file {config.measurements!r} has dimension {meas.dim} "
-                    f"(measurement {meas.label!r}), but family {config.family!r} has "
+                    f"measurement file {args.measurements!r} has dimension {meas.dim} "
+                    f"(measurement {meas.label!r}), but family {args.family!r} has "
                     f"subsystem dimensions {state.dim_a} and {state.dim_b}"
                 )
     strategy = all_pairs_strategy(measurements, measurements)
     phen = oracle_mod.phenomenon_from_state(state, strategy)
-    grid = oracle_mod.hidden_state_grid(state.dim_b, config.oracle_grid)
+    grid = oracle_mod.hidden_state_grid(state.dim_b, args.grid)
 
     outcome = oracle_mod.lhs_feasible(phen, grid)
     lines: list[str] = []
     if outcome.feasible:
         lines.append("feasible")
         lines.append(f"residual={_fmt(outcome.residual)}")
-    elif not config.certify:
+    elif not args.certify:
         lines.append("grid-infeasible")
         lines.append(f"violation={_fmt(outcome.violation)}")
     else:
@@ -410,48 +361,35 @@ def cmd_oracle(config: RunConfig) -> int:
         lines.append(f"violation={_fmt(outcome.violation)}")
         lines.append(f"observed_value={_fmt(certificate.observed_value)}")
         lines.append(f"lhs_bound={_fmt(certificate.lhs_bound)}")
-        if config.certificate_out is not None:
-            record = oracle_mod.certificate_record(phen, functional, certificate, config.tag)
-            Path(config.certificate_out).write_text(_json_text(record))
-    lines.append(f"grid={config.oracle_grid}")
-    if config.tag is not None:
-        lines.append(f"tag={config.tag}")
-    _emit("\n".join(lines) + "\n", config.out)
+        if args.certificate_out is not None:
+            record = oracle_mod.certificate_record(phen, functional, certificate, args.tag)
+            Path(args.certificate_out).write_text(json.dumps(record, indent=2) + "\n")
+    lines.append(f"grid={args.grid}")
+    if args.tag is not None:
+        lines.append(f"tag={args.tag}")
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_figure_cv_bounds(config: RunConfig) -> int:
-    curves = []
-    for nbar in config.grid_values:
+def cmd_figure_cv_bounds(args: argparse.Namespace) -> int:
+    rows = []
+    for nbar in _parse_grid(args.nbar_grid):
         if nbar <= 0:
             raise UsageError(f"nbar grid must be strictly positive, got {_fmt(nbar)}")
-        curves.append(
-            (
-                nbar,
-                boundary_entanglement_mu(nbar),
-                boundary_reid_steering_mu(nbar),
-                boundary_collective_steering_mu(nbar),
-            )
-        )
-    if config.fmt == "json":
-        records = [
+        rows.append(
             {
                 "nbar": nbar,
-                "entanglement_mu": ent,
-                "reid_mu": reid,
-                "collective_mu": coll,
+                "entanglement_mu": boundary_entanglement_mu(nbar),
+                "reid_mu": boundary_reid_steering_mu(nbar),
+                "collective_mu": boundary_collective_steering_mu(nbar),
             }
-            for nbar, ent, reid, coll in curves
-        ]
-        _emit(_json_text(records), config.out)
-    else:
-        rows = [[_fmt(nbar), _fmt(ent), _fmt(reid), _fmt(coll)] for nbar, ent, reid, coll in curves]
-        _emit(_csv_table(["nbar", "entanglement_mu", "reid_mu", "collective_mu"], rows), config.out)
-    unreachable = sum(coll >= 1.0 for *_, coll in curves)
+        )
+    _emit_table(args, rows, rows)
+    unreachable = sum(row["collective_mu"] >= 1.0 for row in rows)
     if unreachable:
         print(
             f"steerkit: note: collective boundary unreachable (mu >= 1) at {unreachable} "
-            f"of {len(curves)} nbar points",
+            f"of {len(rows)} nbar points",
             file=sys.stderr,
         )
     return EXIT_OK
@@ -478,12 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     criteria_sub = criteria_p.add_subparsers(dest="subcommand", required=True)
     list_p = criteria_sub.add_parser("list", help="list the criterion catalog")
     add_format(list_p, "csv")
+    list_p.set_defaults(run=cmd_list)
 
     eval_p = sub.add_parser("eval", help="evaluate one criterion on one state")
     eval_p.add_argument("--criterion", required=True)
     add_family(eval_p)
     eval_p.add_argument("--gain-mode", choices=("fixed", "optimize"), default=None)
     add_format(eval_p, "json")
+    eval_p.set_defaults(run=cmd_eval)
 
     sweep_p = sub.add_parser("sweep", help="evaluate a criterion across a parameter grid")
     sweep_p.add_argument("--criterion", required=True)
@@ -492,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--grid", required=True, help="lo:hi:count")
     sweep_p.add_argument("--gain-mode", choices=("fixed", "optimize"), default=None)
     add_format(sweep_p, "csv")
+    sweep_p.set_defaults(run=cmd_sweep)
 
     boundary_p = sub.add_parser("boundary", help="bisect a criterion's verdict flip")
     boundary_p.add_argument("--criterion", required=True)
@@ -501,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     boundary_p.add_argument("--tol", type=float, default=1e-9)
     boundary_p.add_argument("--gain-mode", choices=("fixed", "optimize"), default=None)
     add_format(boundary_p, "json")
+    boundary_p.set_defaults(run=cmd_boundary)
 
     oracle_p = sub.add_parser("oracle", help="hidden-state LP oracle with optional certification")
     add_family(oracle_p)
@@ -509,70 +451,22 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_p.add_argument("--certify", action="store_true")
     oracle_p.add_argument("--certificate-out", default=None)
     oracle_p.add_argument("--out", default=None)
+    oracle_p.set_defaults(run=cmd_oracle)
 
     figure_p = sub.add_parser("figure", help="emit curve data")
     figure_sub = figure_p.add_subparsers(dest="subcommand", required=True)
     cv_p = figure_sub.add_parser("cv-bounds", help="boundary curves for the symmetric two-mode family")
     cv_p.add_argument("--nbar-grid", required=True, help="lo:hi:count")
     add_format(cv_p, "csv")
+    cv_p.set_defaults(run=cmd_figure_cv_bounds)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.fmt = getattr(args, "format", "csv")
-    config.out = getattr(args, "out", None)
-    config.tag = getattr(args, "tag", None)
-    config.gain_mode = getattr(args, "gain_mode", None)
-    if args.command in ("eval", "sweep", "boundary"):
-        _check_criterion(args.criterion, args.family, config.gain_mode)
-        config.criterion_id = args.criterion
-        config.family = args.family
-    if args.command == "eval":
-        config.params = _family_params(args, args.family)
-    if args.command in ("sweep", "boundary"):
-        if args.param not in FAMILIES.get(args.family, FAMILIES["werner"]).parameter_ranges:
-            raise UsageError(f"family {args.family!r} has no parameter {args.param!r}")
-        config.param = args.param
-        config.params = _family_params(args, args.family, skip=args.param)
-    if args.command == "sweep":
-        config.grid_values = _parse_grid(args.grid)
-    if args.command == "boundary":
-        config.bracket = _parse_bracket(args.bracket) if args.bracket is not None else None
-        if args.tol <= 0:
-            raise UsageError(f"--tol must be positive, got {args.tol}")
-        config.tol = args.tol
-    if args.command == "oracle":
-        config.family = args.family
-        config.params = _family_params(args, args.family)
-        config.measurements = args.measurements
-        config.oracle_grid = args.grid
-        config.certify = args.certify
-        config.certificate_out = args.certificate_out
-    if args.command == "figure":
-        config.grid_values = _parse_grid(args.nbar_grid)
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.command == "criteria":
-            return cmd_list(config)
-        if args.command == "eval":
-            return cmd_eval(config)
-        if args.command == "sweep":
-            return cmd_sweep(config)
-        if args.command == "boundary":
-            return cmd_boundary(config)
-        if args.command == "oracle":
-            return cmd_oracle(config)
-        if args.command == "figure":
-            return cmd_figure_cv_bounds(config)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"steerkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -194,13 +194,11 @@ def _strategy_block(outcome_counts: Sequence[int], start: int, stop: int) -> tup
     return np.unravel_index(np.arange(start, stop), tuple(outcome_counts))
 
 
-def _bob_probability_table(
-    phen: Phenomenon, grid: HiddenStateGrid, bob_measurements: Sequence[Measurement]
-) -> list[np.ndarray]:
+def _bob_probability_table(grid: HiddenStateGrid, bob: Sequence[Measurement]) -> list[np.ndarray]:
     """Q[b][B, l] = Tr[F_B^b ρ_l] for every Bob measurement and grid state."""
     rhos = np.array([rho.matrix for rho in grid.states])
     tables = []
-    for meas in bob_measurements:
+    for meas in bob:
         if meas.dim != grid.dim:
             raise ValueError(f"Bob measurement {meas.label!r} dimension mismatch with grid")
         products = np.array(meas.effects)[:, None] @ rhos[None]
@@ -208,9 +206,7 @@ def _bob_probability_table(
     return tables
 
 
-def _lp_system(
-    phen: Phenomenon, grid: HiddenStateGrid, bob_measurements: Sequence[Measurement]
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _lp_system(phen: Phenomenon, grid: HiddenStateGrid) -> tuple[np.ndarray, np.ndarray, int]:
     """Equality system A·w = b over weights w[strategy, grid state] ≥ 0.
 
     One row per (pairing entry, Alice outcome, Bob outcome), plus a final
@@ -219,7 +215,7 @@ def _lp_system(
     counts = [m.n_outcomes for m in phen.strategy.alice]
     n_strategies = _strategy_count(counts)
     outcomes = _strategy_block(counts, 0, n_strategies)
-    q_tables = _bob_probability_table(phen, grid, bob_measurements)
+    q_tables = _bob_probability_table(grid, phen.strategy.bob)
     n_rows = sum(t.probs.size for t in phen.tables) + 1
     a_mat = np.empty((n_rows, n_strategies * len(grid.states)))
     b_vec = np.empty(n_rows)
@@ -261,11 +257,7 @@ class GridInfeasible:
         return False
 
 
-def lhs_feasible(
-    phen: Phenomenon,
-    grid: HiddenStateGrid,
-    bob_measurements: Sequence[Measurement] | None = None,
-) -> GridFeasible | GridInfeasible:
+def lhs_feasible(phen: Phenomenon, grid: HiddenStateGrid) -> GridFeasible | GridInfeasible:
     """Decide hidden-state feasibility of the phenomenon over the grid.
 
     Solves the phase-1 program min Σ(u + v) s.t. A·w + u - v = b, w,u,v ≥ 0;
@@ -273,8 +265,7 @@ def lhs_feasible(
     infeasibility the equality multipliers form the Farkas dual: yᵀA ≤ 0 on
     every weight column while yᵀb > 0.
     """
-    bob = tuple(bob_measurements) if bob_measurements is not None else phen.strategy.bob
-    a_mat, b_vec, n_strategies = _lp_system(phen, grid, bob)
+    a_mat, b_vec, n_strategies = _lp_system(phen, grid)
     n_rows, n_cols = a_mat.shape
     cost = np.concatenate([np.zeros(n_cols), np.ones(2 * n_rows)])
     a_eq = np.hstack([a_mat, np.eye(n_rows), -np.eye(n_rows)])
@@ -322,9 +313,7 @@ def _dual_blocks(phen: Phenomenon, y: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def _dual_columns(
-    phen: Phenomenon, grid: HiddenStateGrid, bob_measurements: Sequence[Measurement], y: np.ndarray
-) -> np.ndarray:
+def _dual_columns(phen: Phenomenon, grid: HiddenStateGrid, y: np.ndarray) -> np.ndarray:
     """yᵀA of the `_lp_system` matrix as an array [strategy, grid state], without building A.
 
     Column (k, l) is the normalization multiplier plus, per pairing entry
@@ -332,7 +321,7 @@ def _dual_columns(
     """
     counts = [m.n_outcomes for m in phen.strategy.alice]
     outcomes = _strategy_block(counts, 0, _strategy_count(counts))
-    q_tables = _bob_probability_table(phen, grid, bob_measurements)
+    q_tables = _bob_probability_table(grid, phen.strategy.bob)
     columns = np.full((len(outcomes[0]), len(grid.states)), y[-1])
     for (a_idx, b_idx), y_block in zip(phen.strategy.pairing, _dual_blocks(phen, y)):
         columns += (y_block @ q_tables[b_idx])[outcomes[a_idx]]
@@ -343,7 +332,6 @@ def functional_from_dual(
     phen: Phenomenon,
     grid: HiddenStateGrid,
     infeasible: GridInfeasible,
-    bob_measurements: Sequence[Measurement] | None = None,
 ) -> SteeringFunctional:
     """Turn a Farkas dual into a steering functional, re-verifying separation.
 
@@ -353,13 +341,12 @@ def functional_from_dual(
     ≤ -y_norm by construction; only `certify_steering` turns it into a
     rigorous grid-free verdict.
     """
-    bob = tuple(bob_measurements) if bob_measurements is not None else phen.strategy.bob
     b_vec = np.concatenate([t.probs.ravel() for t in phen.tables] + [np.ones(1)])
     y = np.asarray(infeasible.dual, dtype=float)
     if y.shape != b_vec.shape:
         raise ValueError(f"dual length {y.shape} does not match {b_vec.size} constraints")
     scale = max(1.0, float(np.max(np.abs(y))))
-    if float(np.max(_dual_columns(phen, grid, bob, y))) > 1e-7 * scale or float(y @ b_vec) <= 0:
+    if float(np.max(_dual_columns(phen, grid, y))) > 1e-7 * scale or float(y @ b_vec) <= 0:
         raise ValueError("dual fails the grid-level separation check")
     return SteeringFunctional(coeffs=tuple(block.copy() for block in _dual_blocks(phen, y)))
 
@@ -394,11 +381,7 @@ class SteeringCertificate:
     maximizing_strategy: tuple[int, ...]
 
 
-def certify_steering(
-    phen: Phenomenon,
-    functional: SteeringFunctional,
-    bob_measurements: Sequence[Measurement] | None = None,
-) -> SteeringCertificate:
+def certify_steering(phen: Phenomenon, functional: SteeringFunctional) -> SteeringCertificate:
     """Exact (grid-free) hidden-state bound of a functional, by enumeration.
 
     For each deterministic Alice strategy k the hidden-state value of the
@@ -408,7 +391,7 @@ def certify_steering(
     per block, so memory does not grow with their number. Certification does
     not depend on any grid.
     """
-    bob = tuple(bob_measurements) if bob_measurements is not None else phen.strategy.bob
+    bob = phen.strategy.bob
     observed = functional.value(phen)
     counts = [m.n_outcomes for m in phen.strategy.alice]
     n_strategies = _strategy_count(counts)
@@ -442,24 +425,18 @@ def certify_steering(
     )
 
 
-def reproduce_tables(
-    phen: Phenomenon,
-    grid: HiddenStateGrid,
-    weights: np.ndarray,
-    bob_measurements: Sequence[Measurement] | None = None,
-) -> list[np.ndarray]:
+def reproduce_tables(phen: Phenomenon, grid: HiddenStateGrid, weights: np.ndarray) -> list[np.ndarray]:
     """Rebuild the joint tables a weight vector generates; a model witness check.
 
     Returns one array per pairing entry with
     P(A,B|a,b) = Σ_{k: k(a)=A, λ} w[k,λ]·Tr[F_B^b ρ_λ].
     """
-    bob = tuple(bob_measurements) if bob_measurements is not None else phen.strategy.bob
     counts = [m.n_outcomes for m in phen.strategy.alice]
     n_strategies = _strategy_count(counts)
     if weights.shape != (n_strategies, len(grid.states)):
         raise ValueError(f"weights shape {weights.shape} does not match strategies x grid")
     outcomes = _strategy_block(counts, 0, n_strategies)
-    q_tables = _bob_probability_table(phen, grid, bob)
+    q_tables = _bob_probability_table(grid, phen.strategy.bob)
     rebuilt = []
     for (a_idx, b_idx), table in zip(phen.strategy.pairing, phen.tables):
         out = np.zeros_like(table.probs)

@@ -341,6 +341,29 @@ class TestMeasurementFile:
         assert "measurements.txt" in err and "dimension 3" in err and "'werner'" in err
 
 
+_BOUNDARY_MU = ("boundary", "--criterion", "linear-3", "--family", "werner", "--param", "mu")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((*_BOUNDARY_MU, "--tol", "nan"), "--tol must be finite, got nan"),
+        ((*_BOUNDARY_MU, "--tol", "inf"), "--tol must be finite, got inf"),
+        ((*_BOUNDARY_MU, "--bracket", "nan:1"), "bracket endpoints must be finite, got 'nan:1'"),
+        ((*_BOUNDARY_MU, "--bracket", "0:inf"), "bracket endpoints must be finite, got '0:inf'"),
+        (("figure", "cv-bounds", "--nbar-grid", "nan:1:3"), "grid endpoints must be finite, got 'nan:1:3'"),
+        (
+            ("sweep", "--criterion", "linear-3", "--family", "werner", "--param", "mu", "--grid", "0:inf:3"),
+            "grid endpoints must be finite, got '0:inf:3'",
+        ),
+    ],
+    ids=["tol-nan", "tol-inf", "bracket-nan", "bracket-inf", "nbar-grid-nan", "grid-inf"],
+)
+def test_non_finite_number_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"steerkit: error: {message}\n")
+
+
 class TestFigure:
     ARGS = ("figure", "cv-bounds", "--nbar-grid", "0.5:5:10")
 

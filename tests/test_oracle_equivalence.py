@@ -110,7 +110,7 @@ class TestExactBound:
 
 
 def assert_same_system(phen, grid):
-    a_mat, b_vec, n_strategies = oracle._lp_system(phen, grid, phen.strategy.bob)
+    a_mat, b_vec, n_strategies = oracle._lp_system(phen, grid)
     ref_a, ref_b, ref_strategies = lp_system(phen, grid, phen.strategy.bob)
     assert np.array_equal(a_mat, ref_a)
     assert np.array_equal(b_vec, ref_b)
@@ -154,8 +154,8 @@ class TestGrids:
 
 
 def assert_dual_columns_match(phen, grid, y):
-    a_mat = oracle._lp_system(phen, grid, phen.strategy.bob)[0]
-    columns = oracle._dual_columns(phen, grid, phen.strategy.bob, y)
+    a_mat = oracle._lp_system(phen, grid)[0]
+    columns = oracle._dual_columns(phen, grid, y)
     assert columns.shape == (a_mat.shape[1] // len(grid.states), len(grid.states))
     assert np.max(np.abs(columns.ravel() - y @ a_mat)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
