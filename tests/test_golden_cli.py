@@ -77,6 +77,35 @@ for _criterion, _family in (
         (f"eval-{_criterion}.csv", ["eval", "--criterion", _criterion, *_family, "--format", "csv"], None)
     )
 CASES.append(("eval-tag.json", ["eval", "--criterion", "linear-3", *_WERNER, "--tag", "run 7"], None))
+CV_CRITERIA = ("reid-cv", "duan-simon", "collective-cv-sum", "collective-cv-product")
+for _criterion in ("reid-cv", "duan-simon", "collective-cv-product"):
+    CASES.append(
+        (f"eval-{_criterion}.json", ["eval", "--criterion", _criterion, *_GAUSSIAN, "--format", "json"], None)
+    )
+CASES.append(
+    (
+        "eval-collective-cv-sum-optimize.json",
+        ["eval", "--criterion", "collective-cv-sum", *_GAUSSIAN, "--gain-mode", "optimize"],
+        None,
+    )
+)
+for _criterion in CV_CRITERIA:
+    CASES.append(
+        (
+            f"sweep-{_criterion}.csv",
+            ["sweep", "--criterion", _criterion, "--family", "symmetric-gaussian", "--nbar", "1",
+             "--param", "mu", "--grid", "0:1:11"],
+            None,
+        )
+    )
+CASES.append(
+    (
+        "boundary-duan-simon.json",
+        ["boundary", "--criterion", "duan-simon", "--family", "symmetric-gaussian", "--nbar", "1",
+         "--param", "mu"],
+        None,
+    )
+)
 for _fmt in ("csv", "json"):
     CASES.append(
         (
