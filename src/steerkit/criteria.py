@@ -242,40 +242,31 @@ def eval_additive_sum_three_spin(
     return _result("sum-three-spin", sum(variances), j_val, VIOLATED_IF_BELOW, details)
 
 
-def eval_reid_cv(
-    state: GaussianState,
-    use_min_variance: bool = True,
-    gains: tuple[float, float] | None = None,
-) -> CriterionResult:
+def _quadrature_pair_variance(state: GaussianState, a_idx: int, b_idx: int, gain: float) -> float:
+    """Var(g·q_a + q_b) for two quadratures given by their covariance-matrix indices."""
+    coeffs = np.zeros(state.cov.shape[0])
+    coeffs[a_idx] += gain
+    coeffs[b_idx] += 1.0
+    return linear_combination_variance(state, coeffs)
+
+
+def eval_reid_cv(state: GaussianState) -> CriterionResult:
     """D_inf(x_B)·D_inf(p_B) ≥ 1 on a two-mode Gaussian state.
 
-    With use_min_variance the inference variances are the Schur-complement
-    conditional variances (the optimum); otherwise the gain-based collective
-    variances Var(g·q_A + q_B) are used.
+    The inference variances are the Schur-complement conditional variances,
+    the optimum over Alice's estimators. The fixed linear-gain form is the
+    collective-cv-product criterion.
     """
     if state.n_modes != 2:
         raise ValueError(f"reid-cv needs a two-mode state, got {state.n_modes} modes")
-    if use_min_variance:
-        vx = conditional_min_variance(state, X_B, X_A)
-        vp = conditional_min_variance(state, P_B, P_A)
-        gx: float | str = "optimal"
-        gp: float | str = "optimal"
-    else:
-        if gains is None:
-            raise ValueError("gain-based evaluation requires gains=(gx, gp)")
-        gx, gp = float(gains[0]), float(gains[1])
-        coeff_x = np.zeros(4)
-        coeff_x[X_A], coeff_x[X_B] = gx, 1.0
-        coeff_p = np.zeros(4)
-        coeff_p[P_A], coeff_p[P_B] = gp, 1.0
-        vx = linear_combination_variance(state, coeff_x)
-        vp = linear_combination_variance(state, coeff_p)
+    vx = conditional_min_variance(state, X_B, X_A)
+    vp = conditional_min_variance(state, P_B, P_A)
     lhs = math.sqrt(vx) * math.sqrt(vp)
     details: dict[str, float | str] = {
         "inference_variance_x": vx,
         "inference_variance_p": vp,
-        "gain_x": gx,
-        "gain_p": gp,
+        "gain_x": "optimal",
+        "gain_p": "optimal",
     }
     return _result("reid-cv", lhs, 1.0, VIOLATED_IF_BELOW, details)
 
@@ -288,12 +279,8 @@ def eval_duan_simon(state: GaussianState) -> CriterionResult:
     """
     if state.n_modes != 2:
         raise ValueError(f"duan-simon needs a two-mode state, got {state.n_modes} modes")
-    minus = np.zeros(4)
-    minus[X_A], minus[X_B] = 1.0, -1.0
-    plus = np.zeros(4)
-    plus[P_A], plus[P_B] = 1.0, 1.0
-    v_minus = linear_combination_variance(state, minus)
-    v_plus = linear_combination_variance(state, plus)
+    v_minus = _quadrature_pair_variance(state, X_B, X_A, -1.0)
+    v_plus = _quadrature_pair_variance(state, P_A, P_B, 1.0)
     details: dict[str, float | str] = {
         "variance_x_minus": v_minus,
         "variance_p_plus": v_plus,
@@ -338,10 +325,7 @@ def _collective_term_variance(
             gain = -state.cov[a_idx, b_idx] / var_a
         else:
             gain = term.gain
-        coeffs = np.zeros(state.cov.shape[0])
-        coeffs[a_idx] += gain
-        coeffs[b_idx] += 1.0
-        return float(gain), linear_combination_variance(state, coeffs)
+        return float(gain), _quadrature_pair_variance(state, a_idx, b_idx, gain)
     a_obs = np.asarray(term.alice, dtype=complex)
     b_obs = np.asarray(term.bob, dtype=complex)
     if gain_mode == "optimize":
@@ -524,9 +508,8 @@ def eval_additive_convex(
     return _result("custom-convex", lhs, quantum_bound, VIOLATED_IF_ABOVE, details)
 
 
-def _cv_collective_terms(gains: tuple[float, float] | None) -> list[CollectiveTerm]:
-    gx, gp = gains if gains is not None else (-1.0, 1.0)
-    return [CollectiveTerm(X_A, X_B, gx), CollectiveTerm(P_A, P_B, gp)]
+# The collective CV criteria's default gains (-1, +1).
+_CV_TERMS = (CollectiveTerm(X_A, X_B, -1.0), CollectiveTerm(P_A, P_B, 1.0))
 
 
 def _spin_collective_terms(state: BipartiteState) -> list[CollectiveTerm]:
@@ -535,19 +518,11 @@ def _spin_collective_terms(state: BipartiteState) -> list[CollectiveTerm]:
     return [CollectiveTerm(ops_a.component(axis), ops_b.component(axis), 1.0) for axis in "xyz"]
 
 
-def _reid_cv_default(state, gain_mode, gains, use_min_variance):
-    if gains is not None:
-        return eval_reid_cv(state, use_min_variance=False, gains=gains)
-    return eval_reid_cv(state, use_min_variance=use_min_variance)
-
-
-# Catalog evaluators: (state, gain_mode, gains, use_min_variance) -> result.
+# Catalog evaluators: (state, gain_mode) -> result.
 # They call the eval_* functions by name, so a wrapper installed on the module
 # attribute (the benchmark's tracer) sees every call; only the inference
 # criteria build the default spin plan.
-Evaluator = Callable[
-    [BipartiteState | GaussianState, str | None, tuple[float, float] | None, bool], CriterionResult
-]
+Evaluator = Callable[[BipartiteState | GaussianState, str | None], CriterionResult]
 
 
 @dataclass(frozen=True)
@@ -572,76 +547,76 @@ CATALOG: dict[str, CriterionInfo] = {
         CriterionInfo(
             "reid-cv", "cv", VIOLATED_IF_BELOW,
             "D_inf(x_B) * D_inf(p_B)", "1",
-            "conditional (Schur) variances by default; gain-based on request",
-            evaluator=_reid_cv_default,
+            "conditional (Schur) variances; the fixed-gain form is collective-cv-product",
+            evaluator=lambda state, _: eval_reid_cv(state),
         ),
         CriterionInfo(
             "product-spin", "spin", VIOLATED_IF_BELOW,
             "D_inf(B1) * D_inf(B2)", "|<B3>|_inf / 2",
             "needs [b1, b2] = i b3 on Bob's side",
-            evaluator=lambda state, *_: eval_product_criterion(state, default_spin_plan(state)),
+            evaluator=lambda state, _: eval_product_criterion(state, default_spin_plan(state)),
         ),
         CriterionInfo(
             "bowen", "spin", VIOLATED_IF_BELOW,
             "D_inf(B1) * D_inf(B2)", "|<B3>| / 2",
             "unconditional bound; weaker than product-spin",
-            evaluator=lambda state, *_: eval_bowen(state, default_spin_plan(state)),
+            evaluator=lambda state, _: eval_bowen(state, default_spin_plan(state)),
         ),
         CriterionInfo(
             "sum-two", "spin", VIOLATED_IF_BELOW,
             "Var_inf(B1) + Var_inf(B2)", "|<B3>|_inf",
             "violated only if product-spin is",
-            evaluator=lambda state, *_: eval_additive_sum_two(state, default_spin_plan(state)),
+            evaluator=lambda state, _: eval_additive_sum_two(state, default_spin_plan(state)),
         ),
         CriterionInfo(
             "sum-three-spin", "spin", VIOLATED_IF_BELOW,
             "Var_inf(Jx) + Var_inf(Jy) + Var_inf(Jz)", "j",
-            evaluator=lambda state, *_: eval_additive_sum_three_spin(state, default_spin_plan(state)),
+            evaluator=lambda state, _: eval_additive_sum_three_spin(state, default_spin_plan(state)),
         ),
         CriterionInfo(
             "collective-cv-sum", "cv", VIOLATED_IF_BELOW,
             "Var(gx*x_A + x_B) + Var(gp*p_A + p_B)", "2",
             "default gains (-1, +1)",
-            evaluator=lambda state, gain_mode, gains, _: eval_collective(
-                state, _cv_collective_terms(gains), "sum-cv", gain_mode or "fixed"
+            evaluator=lambda state, gain_mode: eval_collective(
+                state, _CV_TERMS, "sum-cv", gain_mode or "fixed"
             ),
         ),
         CriterionInfo(
             "collective-cv-product", "cv", VIOLATED_IF_BELOW,
             "D(gx*x_A + x_B) * D(gp*p_A + p_B)", "1",
             "default gains (-1, +1)",
-            evaluator=lambda state, gain_mode, gains, _: eval_collective(
-                state, _cv_collective_terms(gains), "product-cv", gain_mode or "fixed"
+            evaluator=lambda state, gain_mode: eval_collective(
+                state, _CV_TERMS, "product-cv", gain_mode or "fixed"
             ),
         ),
         CriterionInfo(
             "collective-spin-sum", "spin", VIOLATED_IF_BELOW,
             "sum_i Var(g_i*Ji_A + Ji_B)", "j",
             "gains optimized by default",
-            evaluator=lambda state, gain_mode, *_: eval_collective(
+            evaluator=lambda state, gain_mode: eval_collective(
                 state, _spin_collective_terms(state), "sum-spin", gain_mode or "optimize"
             ),
         ),
         CriterionInfo(
             "linear-2", "spin", VIOLATED_IF_ABOVE,
             "|<Jx_A Jx_B> + <Jy_A Jy_B>|", "sqrt(2)/4",
-            evaluator=lambda state, *_: eval_linear_qubit(state, 2),
+            evaluator=lambda state, _: eval_linear_qubit(state, 2),
         ),
         CriterionInfo(
             "linear-3", "spin", VIOLATED_IF_ABOVE,
             "|<Jx_A Jx_B> + <Jy_A Jy_B> + <Jz_A Jz_B>|", "sqrt(3)/4",
-            evaluator=lambda state, *_: eval_linear_qubit(state, 3),
+            evaluator=lambda state, _: eval_linear_qubit(state, 3),
         ),
         CriterionInfo(
             "linear-spin-j", "spin", VIOLATED_IF_ABOVE,
             "|sum_i <Ji_A Ji_B>|", "sqrt(3)*j^2",
-            evaluator=lambda state, *_: eval_linear_spin_j(state),
+            evaluator=lambda state, _: eval_linear_spin_j(state),
         ),
         CriterionInfo(
             "duan-simon", "cv", VIOLATED_IF_BELOW,
             "Var(x_A - x_B) + Var(p_A + p_B)", "4",
             "entanglement comparison criterion, not steering",
-            evaluator=lambda state, *_: eval_duan_simon(state),
+            evaluator=lambda state, _: eval_duan_simon(state),
         ),
         CriterionInfo(
             "custom-convex", "any", VIOLATED_IF_ABOVE,
@@ -653,11 +628,7 @@ CATALOG: dict[str, CriterionInfo] = {
 
 
 def evaluate(
-    criterion_id: str,
-    state: BipartiteState | GaussianState,
-    gain_mode: str | None = None,
-    gains: tuple[float, float] | None = None,
-    use_min_variance: bool = True,
+    criterion_id: str, state: BipartiteState | GaussianState, gain_mode: str | None = None
 ) -> CriterionResult:
     """Evaluate a cataloged criterion on a state with its default plan.
 
@@ -674,4 +645,4 @@ def evaluate(
         raise ValueError(f"criterion {criterion_id} needs a finite-dimensional bipartite state")
     if info.evaluator is None:
         raise ValueError(f"criterion {criterion_id} cannot be evaluated without explicit terms")
-    return info.evaluator(state, gain_mode, gains, use_min_variance)
+    return info.evaluator(state, gain_mode)

@@ -92,13 +92,13 @@ def sweep(
     param: str,
     grid: list[float] | np.ndarray,
     fixed: dict[str, float] | None = None,
-    **options,
+    gain_mode: str | None = None,
 ) -> list[SweepRow]:
     """One CriterionResult row per grid point, ordered by the input grid."""
     fixed = dict(fixed or {})
     rows = []
     for value in grid:
-        result = evaluate(criterion_id, make_state(family_id, **{**fixed, param: float(value)}), **options)
+        result = evaluate(criterion_id, make_state(family_id, **{**fixed, param: float(value)}), gain_mode)
         rows.append(
             SweepRow(
                 parameter=float(value),
@@ -135,7 +135,7 @@ def boundary_bisect(
     bracket: tuple[float, float] | None = None,
     tol: float = 1e-9,
     fixed: dict[str, float] | None = None,
-    **options,
+    gain_mode: str | None = None,
 ) -> BoundaryResult:
     """Bisect the verdict flip of a criterion along one family parameter.
 
@@ -161,7 +161,7 @@ def boundary_bisect(
     def verdict(value: float) -> bool:
         nonlocal evaluations
         evaluations += 1
-        return evaluate(criterion_id, make_state(family_id, **{**fixed, param: value}), **options).violated
+        return evaluate(criterion_id, make_state(family_id, **{**fixed, param: value}), gain_mode).violated
 
     v_lo, v_hi = verdict(lo), verdict(hi)
     if v_lo == v_hi:

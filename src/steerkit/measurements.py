@@ -267,15 +267,8 @@ def inference_variance(joint: JointDistribution, est: Estimator = CONDITIONAL_ME
 
 
 def min_inference_variance(joint: JointDistribution) -> float:
-    """Σ_A P(A)·Var(B|A): the best any estimator can do."""
-    weights, means = _conditional_means(joint)
-    b = np.asarray(joint.b_values)
-    total = 0.0
-    for i, w in enumerate(weights):
-        if w > PROB_FLOOR:
-            cond = joint.probs[i] / w
-            total += w * float(cond @ (b - means[i]) ** 2)
-    return total
+    """Σ_A P(A)·Var(B|A): the best any estimator can do, the conditional-mean one's variance."""
+    return inference_variance(joint, CONDITIONAL_MEAN)
 
 
 def inferred_abs_mean(joint: JointDistribution) -> float:

@@ -130,12 +130,11 @@ def measure_joint(state, a, b):
     return JointDistribution(a_values=a.values, b_values=b.values, probs=probs)
 
 
-def _cv_collective_terms(gains):
-    gx, gp = gains if gains is not None else (-1.0, 1.0)
-    return [CollectiveTerm(X_A, X_B, gx), CollectiveTerm(P_A, P_B, gp)]
+def _cv_collective_terms():
+    return [CollectiveTerm(X_A, X_B, -1.0), CollectiveTerm(P_A, P_B, 1.0)]
 
 
-def evaluate_if_chain(criterion_id, state, gain_mode=None, gains=None, use_min_variance=True):
+def evaluate_if_chain(criterion_id, state, gain_mode=None):
     """`criteria.evaluate` as one branch per criterion id, building the spin plan first."""
     if criterion_id not in CATALOG:
         raise KeyError(f"unknown criterion {criterion_id!r}")
@@ -146,15 +145,13 @@ def evaluate_if_chain(criterion_id, state, gain_mode=None, gains=None, use_min_v
         raise ValueError(f"criterion {criterion_id} needs a finite-dimensional bipartite state")
 
     if criterion_id == "reid-cv":
-        if gains is not None:
-            return eval_reid_cv(state, use_min_variance=False, gains=gains)
-        return eval_reid_cv(state, use_min_variance=use_min_variance)
+        return eval_reid_cv(state)
     if criterion_id == "duan-simon":
         return eval_duan_simon(state)
     if criterion_id == "collective-cv-sum":
-        return eval_collective(state, _cv_collective_terms(gains), "sum-cv", gain_mode or "fixed")
+        return eval_collective(state, _cv_collective_terms(), "sum-cv", gain_mode or "fixed")
     if criterion_id == "collective-cv-product":
-        return eval_collective(state, _cv_collective_terms(gains), "product-cv", gain_mode or "fixed")
+        return eval_collective(state, _cv_collective_terms(), "product-cv", gain_mode or "fixed")
 
     plan = default_spin_plan(state)
     if criterion_id == "product-spin":

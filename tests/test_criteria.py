@@ -23,7 +23,7 @@ from steerkit.criteria import (
     eval_reid_cv,
     evaluate,
 )
-from steerkit.gaussian import GaussianState, SymmetricTwoModeParams, symmetric_two_mode
+from steerkit.gaussian import P_A, P_B, X_A, X_B, GaussianState, SymmetricTwoModeParams, symmetric_two_mode
 from steerkit.families import singlet_state, werner_state
 from steerkit.measurements import observable_to_measurement
 from util import implication_trial, random_separable_two_qubit, random_spin_plan, random_two_qubit_state
@@ -189,7 +189,8 @@ class TestReidCV:
             state = gaussian(float(rng.uniform(0.2, 3)), float(rng.uniform(0, 1)))
             gains = (float(rng.uniform(-2, 0)), float(rng.uniform(0, 2)))
             optimal = eval_reid_cv(state).lhs_value
-            fixed = eval_reid_cv(state, use_min_variance=False, gains=gains).lhs_value
+            terms = [CollectiveTerm(X_A, X_B, gains[0]), CollectiveTerm(P_A, P_B, gains[1])]
+            fixed = eval_collective(state, terms, "product-cv", "fixed").lhs_value
             assert fixed >= optimal - 1e-12
 
     def test_wrong_mode_count(self):

@@ -34,14 +34,7 @@ STATES = (
     ]
 )
 
-OPTIONS = [
-    {"gain_mode": gain_mode} for gain_mode in (None, "fixed", "optimize")
-] + [
-    {"gains": (-0.7, 0.9)},
-    {"gains": (-0.7, 0.9), "gain_mode": "fixed"},
-    {"gains": (-0.7, 0.9), "use_min_variance": False},
-    {"use_min_variance": False},
-]
+OPTIONS = [{"gain_mode": gain_mode} for gain_mode in (None, "fixed", "optimize")]
 
 
 def _outcome(fn, *args, **kwargs):
