@@ -114,6 +114,8 @@ def _family_params(args: argparse.Namespace, skip: str | None = None) -> dict[st
         lo, hi = ranges[name]
         if not lo <= value <= hi:
             raise UsageError(f"parameter {name}={value} outside range [{_fmt(lo)}, {_fmt(hi)}]")
+        if not math.isfinite(value):
+            raise UsageError(f"--{name} must be finite, got {value}")
         params[name] = float(value)
     for name in ranges:
         if name != skip and name not in params:

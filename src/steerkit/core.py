@@ -48,7 +48,11 @@ def check_density_matrices(m: np.ndarray) -> None:
 
     Each must be Hermitian and of unit trace within 1e-10, with no
     eigenvalue below -1e-9; the eigenvalues come from one stacked eigvalsh.
+    Non-finite entries are rejected first, since NaN fails every tolerance
+    comparison and would pass the checks below.
     """
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix must be finite")
     if np.abs(m - np.swapaxes(m.conj(), -1, -2)).max() > ATOL_STRUCTURAL:
         raise ValueError("density matrix is not Hermitian within 1e-10")
     trace = np.trace(m, axis1=-2, axis2=-1)

@@ -38,6 +38,10 @@ class GaussianState:
     def __post_init__(self) -> None:
         cov = np.asarray(self.cov, dtype=float)
         mean = np.asarray(self.mean, dtype=float)
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance matrix must be finite")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean vector must be finite")
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0:
             raise ValueError(f"covariance matrix must be square of even dimension, got {cov.shape}")
         if mean.shape != (cov.shape[0],):

@@ -147,6 +147,8 @@ class JointDistribution:
 
     def __post_init__(self) -> None:
         p = np.array(self.probs, dtype=float)
+        if not np.isfinite(p).all():
+            raise ValueError("probability table must be finite")
         if p.shape != (len(self.a_values), len(self.b_values)):
             raise ValueError("probability table shape does not match outcome values")
         if p.min() < -PROB_FLOOR:

@@ -3,14 +3,18 @@
 Compact copies of the oracle's original scalar loops (exact bound, LP system,
 grids), which the array code in `steerkit.oracle` must match bit for bit; of
 the original Born rule (one np.kron and trace per effect pair), which
-`measure_joint` and `tensor_product` must match bit for bit; and of the
+`measure_joint` and `tensor_product` must match bit for bit; of the
 criteria's original if-chain dispatch, which the `CATALOG` evaluators must
-match result for result.
+match result for result; and of two removed duplicates: the gain-based Reid
+product, which `eval_collective(..., "product-cv", "fixed")` must match bit
+for bit, and the per-row minimum inference variance, which
+`min_inference_variance` must match within PROB_FLOOR·max b².
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -29,8 +33,8 @@ from steerkit.criteria import (
     eval_product_criterion,
     eval_reid_cv,
 )
-from steerkit.gaussian import P_A, P_B, X_A, X_B, GaussianState
-from steerkit.measurements import JointDistribution
+from steerkit.gaussian import P_A, P_B, X_A, X_B, GaussianState, linear_combination_variance
+from steerkit.measurements import PROB_FLOOR, JointDistribution, _conditional_means
 from steerkit.oracle import HiddenStateGrid
 
 
@@ -128,6 +132,30 @@ def measure_joint(state, a, b):
         for k, fb in enumerate(b.effects):
             probs[i, k] = np.trace(w @ kron(ea, fb)).real
     return JointDistribution(a_values=a.values, b_values=b.values, probs=probs)
+
+
+def reid_cv_gain_product(state, gains):
+    """(lhs, Var(gx·x_A + x_B), Var(gp·p_A + p_B)) of the gain-based Reid product."""
+    gx, gp = float(gains[0]), float(gains[1])
+    coeff_x = np.zeros(4)
+    coeff_x[X_A], coeff_x[X_B] = gx, 1.0
+    coeff_p = np.zeros(4)
+    coeff_p[P_A], coeff_p[P_B] = gp, 1.0
+    vx = linear_combination_variance(state, coeff_x)
+    vp = linear_combination_variance(state, coeff_p)
+    return math.sqrt(vx) * math.sqrt(vp), vx, vp
+
+
+def min_inference_variance(joint):
+    """Σ_A P(A)·Var(B|A) over the Alice rows above PROB_FLOOR, one row at a time."""
+    weights, means = _conditional_means(joint)
+    b = np.asarray(joint.b_values)
+    total = 0.0
+    for i, w in enumerate(weights):
+        if w > PROB_FLOOR:
+            cond = joint.probs[i] / w
+            total += w * float(cond @ (b - means[i]) ** 2)
+    return total
 
 
 def _cv_collective_terms():

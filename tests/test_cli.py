@@ -342,6 +342,7 @@ class TestMeasurementFile:
 
 
 _BOUNDARY_MU = ("boundary", "--criterion", "linear-3", "--family", "werner", "--param", "mu")
+_GAUSSIAN_NBAR = ("--family", "symmetric-gaussian", "--nbar")
 
 
 @pytest.mark.parametrize(
@@ -356,8 +357,31 @@ _BOUNDARY_MU = ("boundary", "--criterion", "linear-3", "--family", "werner", "--
             ("sweep", "--criterion", "linear-3", "--family", "werner", "--param", "mu", "--grid", "0:inf:3"),
             "grid endpoints must be finite, got '0:inf:3'",
         ),
+        (
+            ("eval", "--criterion", "collective-cv-sum", *_GAUSSIAN_NBAR, "inf", "--mu", "0.5"),
+            "--nbar must be finite, got inf",
+        ),
+        (
+            ("sweep", "--criterion", "reid-cv", *_GAUSSIAN_NBAR, "inf", "--param", "mu", "--grid", "0:1:3"),
+            "--nbar must be finite, got inf",
+        ),
+        (
+            ("boundary", "--criterion", "duan-simon", *_GAUSSIAN_NBAR, "inf", "--param", "mu"),
+            "--nbar must be finite, got inf",
+        ),
+        (
+            ("eval", "--criterion", "reid-cv", *_GAUSSIAN_NBAR, "nan", "--mu", "0.5"),
+            "parameter nbar=nan outside range [0, inf]",
+        ),
+        (
+            ("eval", "--criterion", "linear-3", "--family", "werner", "--mu", "inf"),
+            "parameter mu=inf outside range [0, 1]",
+        ),
     ],
-    ids=["tol-nan", "tol-inf", "bracket-nan", "bracket-inf", "nbar-grid-nan", "grid-inf"],
+    ids=[
+        "tol-nan", "tol-inf", "bracket-nan", "bracket-inf", "nbar-grid-nan", "grid-inf",
+        "eval-nbar-inf", "sweep-nbar-inf", "boundary-nbar-inf", "nbar-nan", "mu-inf",
+    ],
 )
 def test_non_finite_number_is_a_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -153,6 +153,11 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.5, np.nan)])
+    def test_rejects_non_finite_entry(self, entry):
+        with pytest.raises(ValueError, match="density matrix must be finite"):
+            DensityMatrix(np.array([[entry, 0], [0, 0.5]], dtype=complex))
+
     def test_bipartite_dimension_check(self, rng):
         with pytest.raises(ValueError):
             BipartiteState(random_density_matrix(rng, 4), 3, 2)
@@ -163,6 +168,7 @@ class TestDensityMatrixStack:
         "non-hermitian": np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex),
         "wrong-trace": np.eye(2, dtype=complex),
         "negative-eigenvalue": np.diag([1.5, -0.5]).astype(complex),
+        "non-finite": np.array([[np.nan, 0], [0, 0.5]], dtype=complex),
     }
 
     def test_valid_stack_wraps_read_only_slices(self, rng):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import loop_reference
 from steerkit.core import bipartite_from_matrix, spin_operators, tensor_product
 from steerkit.criteria import (
     CATALOG,
@@ -23,7 +25,16 @@ from steerkit.criteria import (
     eval_reid_cv,
     evaluate,
 )
-from steerkit.gaussian import P_A, P_B, X_A, X_B, GaussianState, SymmetricTwoModeParams, symmetric_two_mode
+from steerkit.gaussian import (
+    P_A,
+    P_B,
+    X_A,
+    X_B,
+    GaussianState,
+    SymmetricTwoModeParams,
+    symmetric_two_mode,
+    symplectic_form,
+)
 from steerkit.families import singlet_state, werner_state
 from steerkit.measurements import observable_to_measurement
 from util import implication_trial, random_separable_two_qubit, random_spin_plan, random_two_qubit_state
@@ -192,6 +203,24 @@ class TestReidCV:
             terms = [CollectiveTerm(X_A, X_B, gains[0]), CollectiveTerm(P_A, P_B, gains[1])]
             fixed = eval_collective(state, terms, "product-cv", "fixed").lhs_value
             assert fixed >= optimal - 1e-12
+
+    def test_gain_based_product_is_collective_cv_product(self, rng):
+        # The gain-based Reid product is the fixed-gain collective product,
+        # bit for bit, on random physical two-mode states.
+        omega = symplectic_form(2)
+        for _ in range(30):
+            h = rng.normal(size=(4, 4))
+            symplectic = expm(omega @ (h + h.T) / 2)
+            m = rng.normal(size=(4, 4))
+            state = GaussianState(cov=symplectic @ (np.eye(4) + m @ m.T) @ symplectic.T, mean=rng.normal(size=4))
+            gains = (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+            lhs, vx, vp = loop_reference.reid_cv_gain_product(state, gains)
+            terms = [CollectiveTerm(X_A, X_B, gains[0]), CollectiveTerm(P_A, P_B, gains[1])]
+            result = eval_collective(state, terms, "product-cv", "fixed")
+            assert result.lhs_value == lhs
+            assert result.details["collective_variance_1"] == vx
+            assert result.details["collective_variance_2"] == vp
+            assert result.bound == 1.0
 
     def test_wrong_mode_count(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,26 @@ class TestSymmetricTwoMode:
     def test_unphysical_covariance_rejected(self):
         with pytest.raises(ValueError):
             GaussianState(cov=0.5 * np.eye(2), mean=np.zeros(2))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_covariance_rejected(self, entry):
+        cov = np.eye(4)
+        cov[0, 0] = entry
+        with pytest.raises(ValueError, match="covariance matrix must be finite"):
+            GaussianState(cov=cov, mean=np.zeros(4))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_mean_rejected(self, entry):
+        with pytest.raises(ValueError, match="mean vector must be finite"):
+            GaussianState(cov=np.eye(4), mean=np.array([entry, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("nbar", [1e200, 1e308])
+    def test_overflowing_nbar_is_a_clear_error(self, nbar):
+        # gamma = 1 + 2·nbar or delta ~ 2·mu·nbar overflows to inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="covariance matrix must be finite"):
+                family(nbar, 0.5)
 
 
 class TestLinearCombinationVariance:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loop_reference
 from steerkit.core import bipartite_from_matrix, spin_operators, tensor_product, variance
 from steerkit.families import singlet_state, werner_state
 from steerkit.measurements import (
@@ -10,6 +11,7 @@ from steerkit.measurements import (
     Estimator,
     JointDistribution,
     Measurement,
+    PROB_FLOOR,
     assemblage_from_state,
     collective_variance,
     conditional_distribution,
@@ -78,6 +80,14 @@ class TestMeasurementValidation:
         p = np.diag([1.0, 0.0])
         with pytest.raises(ValueError):
             Measurement("bad", (1.0, -1.0), (p, np.eye(2) - p / 2), kind="projective")
+
+
+class TestJointDistributionValidation:
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_probability(self, entry):
+        probs = np.array([[entry, 0.5], [0.25, 0.25]])
+        with pytest.raises(ValueError, match="probability table must be finite"):
+            JointDistribution((1.0, -1.0), (1.0, -1.0), probs)
 
 
 class TestMeasureJoint:
@@ -182,6 +192,22 @@ class TestInferenceQuantities:
         table = data.draw(st.lists(st.floats(-3, 3), min_size=n_a, max_size=n_a))
         est = Estimator.from_table(tuple(table))
         assert inference_variance(joint, est) >= min_inference_variance(joint) - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(joint=joint_distributions())
+    def test_min_inference_variance_matches_row_loop(self, joint):
+        b_max_sq = max(b * b for b in joint.b_values)
+        reference = loop_reference.min_inference_variance(joint)
+        assert abs(min_inference_variance(joint) - reference) <= PROB_FLOOR * b_max_sq
+
+    @pytest.mark.parametrize("weight", [0.0, 0.4 * PROB_FLOOR])
+    def test_min_inference_variance_on_negligible_alice_row(self, weight):
+        # The loop skips an Alice row at or below PROB_FLOOR; the conditional
+        # mean estimator guesses 0 there, which adds at most PROB_FLOOR·max b².
+        probs = np.array([[0.3, 0.2, 0.1], [0.0, 0.0, weight], [0.1, 0.1, 0.2 - weight]])
+        joint = JointDistribution((1.0, 0.0, -1.0), (2.0, 0.5, -1.5), probs)
+        reference = loop_reference.min_inference_variance(joint)
+        assert abs(min_inference_variance(joint) - reference) <= PROB_FLOOR * 4.0
 
     @settings(max_examples=60, deadline=None)
     @given(joint=joint_distributions())
