@@ -126,6 +126,10 @@ class MeasurementStrategy:
         for a_idx, b_idx in self.pairing:
             if not (0 <= a_idx < len(self.alice) and 0 <= b_idx < len(self.bob)):
                 raise ValueError(f"pairing entry ({a_idx}, {b_idx}) out of range")
+        for party, measurements in (("Alice", self.alice), ("Bob", self.bob)):
+            if len({m.dim for m in measurements}) > 1:
+                named = ", ".join(f"{m.label!r} (dimension {m.dim})" for m in measurements)
+                raise ValueError(f"{party}'s measurements mix dimensions: {named}")
 
 
 def all_pairs_strategy(

@@ -9,18 +9,20 @@ linear steering functional.
 
 Two-stage contract, by design: grid infeasibility is *evidence* only (the
 grid is an inner approximation of the hidden-state set); `certify_steering`
-upgrades a functional to a rigorous verdict by enumerating deterministic
-strategies and bounding each aggregated Bob operator by its maximum
-eigenvalue, which is grid-free.
+upgrades a functional to a rigorous verdict by bounding the aggregated Bob
+operator of every deterministic strategy that can attain the maximum by its
+maximum eigenvalue, which is grid-free. The strategies are all of them, or,
+for a qubit Bob with many strategies, those a plane arrangement on the Bloch
+sphere leaves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import ATOL_SPECTRAL, BipartiteState, DensityMatrix, spin_operators
 from .measurements import (
@@ -36,6 +38,19 @@ STRATEGY_CAP = 10**6
 # Strategies per stacked eigvalsh in certify_steering. Its memory grows by
 # about 0.4 kB per strategy in a block; larger blocks measured no faster.
 STRATEGY_BLOCK = 2**12
+# A qubit Bob takes the plane arrangement from this many strategies on, and
+# enumeration below. Per certify_steering call on 2 CPUs, arrangement against
+# enumeration for n two-outcome settings: matched pairs 2^6 0.8 vs 0.2 ms,
+# 2^8 1.4 vs 0.6, 2^10 1.7 vs 1.6, 2^11 1.9 vs 2.9, 2^12 2.1 vs 6.3; all
+# pairs 2^8 3.1 vs 2.3, 2^9 3.8 vs 3.7, 2^10 4.6 vs 6.2.
+ARRANGEMENT_MIN_STRATEGIES = 2**10
+# In the arrangement, outcomes within this fraction of the coefficient scale,
+# times the number of settings, of a setting's best count as tied; planes
+# closer than this to parallel do not meet.
+TIE_RTOL = 1e-9
+# A point where more combinations of tied outcomes than this meet gives one
+# strategy per sector around it, unless it can reach the bound.
+VERTEX_BRANCH_CAP = 8
 # Per-constraint slack band absorbed as feasible (floating-point residue).
 SLACK_BAND = 1e-9
 # A certificate requires the observed value to clear the exact bound by this.
@@ -123,6 +138,8 @@ class HiddenStateGrid:
 
     states: tuple[DensityMatrix, ...]
     resolution: int
+    # The states as one read-only (n, d, d) stack, built once.
+    matrices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.states:
@@ -130,6 +147,9 @@ class HiddenStateGrid:
         dims = sorted({rho.dim for rho in self.states})
         if len(dims) > 1:
             raise ValueError(f"hidden-state grid mixes state dimensions {dims}")
+        matrices = np.array([rho.matrix for rho in self.states])
+        matrices.setflags(write=False)
+        object.__setattr__(self, "matrices", matrices)
 
     @property
     def dim(self) -> int:
@@ -196,12 +216,11 @@ def _strategy_block(outcome_counts: Sequence[int], start: int, stop: int) -> tup
 
 def _bob_probability_table(grid: HiddenStateGrid, bob: Sequence[Measurement]) -> list[np.ndarray]:
     """Q[b][B, l] = Tr[F_B^b ρ_l] for every Bob measurement and grid state."""
-    rhos = np.array([rho.matrix for rho in grid.states])
     tables = []
     for meas in bob:
         if meas.dim != grid.dim:
             raise ValueError(f"Bob measurement {meas.label!r} dimension mismatch with grid")
-        products = np.array(meas.effects)[:, None] @ rhos[None]
+        products = np.array(meas.effects)[:, None] @ grid.matrices[None]
         tables.append(np.real(np.trace(products, axis1=-2, axis2=-1)))
     return tables
 
@@ -265,6 +284,10 @@ def lhs_feasible(phen: Phenomenon, grid: HiddenStateGrid) -> GridFeasible | Grid
     infeasibility the equality multipliers form the Farkas dual: yᵀA ≤ 0 on
     every weight column while yᵀb > 0.
     """
+    # Imported here, not with the module: scipy.optimize is about 50 MB and
+    # 0.5 s of import, and only the LP needs it.
+    from scipy.optimize import linprog
+
     a_mat, b_vec, n_strategies = _lp_system(phen, grid)
     n_rows, n_cols = a_mat.shape
     cost = np.concatenate([np.zeros(n_cols), np.ones(2 * n_rows)])
@@ -371,6 +394,150 @@ def linear_correlation_functional(
     return SteeringFunctional(coeffs=tuple(blocks))
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _off_axis(v: np.ndarray) -> np.ndarray:
+    """Unit vectors orthogonal to each row of v."""
+    axis = np.eye(3)[np.argmin(np.abs(v), axis=-1)]
+    return _unit(np.cross(v, axis))
+
+
+def _plane_points(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Points where the planes c + n·u = 0 meet the unit sphere.
+
+    The pairwise intersections of their circles, one point on each circle,
+    and one fixed point, so that every cell of the arrangement has a point in
+    its closure.
+    """
+    i, j = np.triu_indices(len(normals), 1)
+    d = np.cross(normals[i], normals[j])
+    dd = np.einsum("pk,pk->p", d, d)
+    norms = np.linalg.norm(normals, axis=1)
+    meet = dd > (TIE_RTOL * norms[i] * norms[j]) ** 2
+    i, j, d, dd = i[meet], j[meet], d[meet], dd[meet]
+    # The point of the line of intersection nearest the origin, then ±t along it.
+    foot = np.cross(offsets[j, None] * normals[i] - offsets[i, None] * normals[j], d) / dd[:, None]
+    slack = 1.0 - np.einsum("pk,pk->p", foot, foot)
+    hit = slack >= -TIE_RTOL
+    t = np.sqrt(np.maximum(slack[hit], 0.0) / dd[hit])[:, None]
+    foot, d = foot[hit], d[hit]
+    centers = -(offsets / norms**2)[:, None] * normals
+    radii = np.sqrt(np.maximum(1.0 - np.einsum("pk,pk->p", centers, centers), 0.0))[:, None]
+    return np.concatenate(
+        [foot + t * d, foot - t * d, centers + radii * _off_axis(normals), [[0.0, 0.0, 1.0]]]
+    )
+
+
+def _sector_choices(u: np.ndarray, beta: np.ndarray, tied: np.ndarray, tol: float) -> np.ndarray:
+    """One strategy per sector around a point where many settings tie.
+
+    Near u, a tied setting's best outcome in tangent direction t is the tied
+    one with the largest slope β·t, so the choices change only where two
+    tied outcomes have equal slope. Outcomes whose slopes stay equal differ
+    along u alone, as at a tangent plane, and the sphere's curvature favours
+    the smaller β·u. Returns the choices at each sector's middle.
+    """
+    e1 = _off_axis(u)
+    e2 = np.cross(_unit(u), e1)
+    settings, first, second = np.nonzero(tied[:, :, None] & tied[:, None, :])
+    keep = first < second
+    slope = beta[settings[keep], first[keep]] - beta[settings[keep], second[keep]]
+    slope = np.stack([slope @ e1, slope @ e2], axis=1)
+    slope = slope[np.hypot(slope[:, 0], slope[:, 1]) > tol]
+    # Each pair of tied outcomes swaps along the line orthogonal to its slope.
+    cuts = np.arctan2(slope[:, 1], slope[:, 0]) + 0.5 * np.pi
+    cuts = np.unique(np.concatenate([cuts, cuts + np.pi]) % (2 * np.pi))
+    mids = 0.5 * (cuts + np.append(cuts[1:], cuts[:1] + 2 * np.pi)) if len(cuts) else np.zeros(1)
+    directions = np.cos(mids)[:, None] * e1 + np.sin(mids)[:, None] * e2
+    slopes = np.where(tied, np.einsum("akc,qc->qak", beta, directions), -np.inf)
+    steepest = slopes >= slopes.max(axis=2, keepdims=True) - tol
+    return np.argmax(np.where(steepest, -(beta @ u), -np.inf), axis=2)
+
+
+def _arrangement_candidates(
+    pairing: Sequence[tuple[int, int]], partial_ops: Sequence[np.ndarray], counts: Sequence[int]
+) -> np.ndarray:
+    """Flat product-order indices, sorted, of every strategy that can attain the qubit bound.
+
+    Each setting a and outcome A add α_{a,A}·I + β_{a,A}·σ to the aggregated
+    operator, whose top eigenvalue is α + |β|. So the bound is the maximum
+    over unit u of Σ_a max_A (α_{a,A} + β_{a,A}·u), and only a greedy
+    response on some cell of the arrangement of the planes where two
+    outcomes of a setting tie can attain it. Every cell has a point of
+    `_plane_points` in its closure; there the greedy response is branched
+    over the tied outcomes, or taken per sector where too many tie.
+    """
+    n_settings, k_max = len(counts), max(counts)
+    strides = np.array([math.prod(counts[a + 1 :]) for a in range(n_settings)], dtype=np.int64)
+    settings = np.array([a_idx for a_idx, _ in pairing])
+    padded = np.zeros((len(pairing), k_max, 2, 2), dtype=complex)
+    for t, ops_for_entry in enumerate(partial_ops):
+        padded[t, : len(ops_for_entry)] = ops_for_entry
+    ops = np.zeros((n_settings, k_max, 2, 2), dtype=complex)
+    np.add.at(ops, settings, padded)
+    # An outcome whose operators equal an earlier one's in every entry gives the
+    # same aggregated sums bit for bit, so it is never the first maximizer; nor
+    # is any outcome but the first of a setting in no entry.
+    differs = np.zeros((n_settings, k_max, k_max), dtype=bool)
+    np.logical_or.at(differs, settings, (padded[:, :, None] != padded[:, None, :]).any(axis=(3, 4)))
+    live = ~np.tril(~differs, -1).any(axis=2) & (np.arange(k_max) < np.array(counts)[:, None])
+    # eigvalsh reads the lower triangle and the real diagonal.
+    alpha = np.where(live, 0.5 * (ops[..., 0, 0].real + ops[..., 1, 1].real), -np.inf)
+    beta = np.stack(
+        [ops[..., 1, 0].real, ops[..., 1, 0].imag, 0.5 * (ops[..., 0, 0].real - ops[..., 1, 1].real)], axis=-1
+    )
+    finite = np.isfinite(alpha)
+    tol = TIE_RTOL * n_settings * max(1.0, np.abs(alpha[finite]).max(), np.abs(beta).max())
+    a_idx, first, second = np.nonzero(finite[:, :, None] & finite[:, None, :])
+    keep = first < second
+    a_idx, first, second = a_idx[keep], first[keep], second[keep]
+    normals = beta[a_idx, first] - beta[a_idx, second]
+    offsets = alpha[a_idx, first] - alpha[a_idx, second]
+    # Tangent planes count: their one point may be all that a strategy wins.
+    norms = np.linalg.norm(normals, axis=1)
+    circle = (norms > 0) & (np.abs(offsets) <= norms + tol)
+    points = _plane_points(normals[circle], offsets[circle])
+
+    values = alpha + np.einsum("akc,pc->pak", beta, points)
+    greedy = np.argmax(values, axis=2)
+    tied = values >= values.max(axis=2, keepdims=True) - tol
+    few = np.prod(tied.sum(axis=2), axis=1) <= VERTEX_BRANCH_CAP
+    indices = _branch(greedy[few], tied[few], strides)
+    if few.all():
+        return np.unique(indices)
+    # Degenerate points with the same greedy response and ties give the same strategies.
+    many = np.nonzero(~few)[0]
+    key = np.concatenate([greedy[many], tied[many].reshape(len(many), -1)], axis=1)
+    many = many[np.unique(key, axis=0, return_index=True)[1]]
+    indices = np.concatenate([indices, *(_sector_choices(points[p], beta, tied[p], tol) @ strides for p in many)])
+    # The sectors miss only strategies whose best direction is the point
+    # itself, worth the point's greedy value: branch fully where that value
+    # comes within the tolerance of the best strategy found.
+    choices = np.unravel_index(indices, counts)
+    alpha_k = sum(alpha[a, c] for a, c in enumerate(choices))
+    beta_k = sum(beta[a, c] for a, c in enumerate(choices))
+    best = np.max(alpha_k + np.linalg.norm(beta_k, axis=1))
+    reach = many[values[many].max(axis=2).sum(axis=1) >= best - tol]
+    return np.unique(np.concatenate([indices, _branch(greedy[reach], tied[reach], strides)]))
+
+
+def _branch(greedy: np.ndarray, tied: np.ndarray, strides: np.ndarray) -> np.ndarray:
+    """Flat indices of every combination of tied outcomes at each point."""
+    indices = greedy @ strides
+    point = np.arange(len(greedy))
+    alternative = tied & (np.arange(tied.shape[2]) != greedy[:, :, None])
+    for a in np.nonzero(alternative.any(axis=(0, 2)))[0]:
+        new_indices, new_points = [indices], [point]
+        for outcome in np.nonzero(alternative[:, a].any(axis=0))[0]:
+            sel = alternative[point, a, outcome]
+            new_indices.append(indices[sel] + (outcome - greedy[point[sel], a]) * strides[a])
+            new_points.append(point[sel])
+        indices, point = np.concatenate(new_indices), np.concatenate(new_points)
+    return indices
+
+
 @dataclass(frozen=True)
 class SteeringCertificate:
     """Outcome of exact certification: rigorous iff `certified` is True."""
@@ -382,14 +549,17 @@ class SteeringCertificate:
 
 
 def certify_steering(phen: Phenomenon, functional: SteeringFunctional) -> SteeringCertificate:
-    """Exact (grid-free) hidden-state bound of a functional, by enumeration.
+    """Exact (grid-free) hidden-state bound of a functional.
 
     For each deterministic Alice strategy k the hidden-state value of the
     functional is at most the maximum eigenvalue of the aggregated Bob
     operator Σ_{a,B,b} f[k(a),a,B,b]·F_b^B; the bound is the maximum over k.
-    Strategies are taken STRATEGY_BLOCK at a time with one stacked eigvalsh
-    per block, so memory does not grow with their number. Certification does
-    not depend on any grid.
+    A qubit Bob with at least ARRANGEMENT_MIN_STRATEGIES strategies has only
+    the candidates of `_arrangement_candidates` evaluated; otherwise every
+    strategy is. Either way they are taken in product order, STRATEGY_BLOCK
+    at a time with one stacked eigvalsh per block, and the first maximizer
+    wins, so both give the same bound and strategy. Certification does not
+    depend on any grid.
     """
     bob = phen.strategy.bob
     observed = functional.value(phen)
@@ -404,10 +574,14 @@ def certify_steering(phen: Phenomenon, functional: SteeringFunctional) -> Steeri
             for b_out, effect in enumerate(bob[b_idx].effects):
                 ops_for_entry[a_out] += block[a_out, b_out] * effect
         partial_ops.append(ops_for_entry)
+    if dim == 2 and n_strategies >= ARRANGEMENT_MIN_STRATEGIES:
+        indices = _arrangement_candidates(phen.strategy.pairing, partial_ops, counts)
+    else:
+        indices = np.arange(n_strategies)
     best_bound = -np.inf
     best_strategy: tuple[int, ...] = ()
-    for start in range(0, n_strategies, STRATEGY_BLOCK):
-        outcomes = _strategy_block(counts, start, min(start + STRATEGY_BLOCK, n_strategies))
+    for start in range(0, len(indices), STRATEGY_BLOCK):
+        outcomes = np.unravel_index(indices[start : start + STRATEGY_BLOCK], counts)
         aggregated = np.zeros((len(outcomes[0]), dim, dim), dtype=complex)
         for (a_idx, _), ops_for_entry in zip(phen.strategy.pairing, partial_ops):
             aggregated += ops_for_entry[outcomes[a_idx]]

@@ -2,6 +2,9 @@
 
 Compact copies of the oracle's original scalar loops (exact bound, LP system,
 grids), which the array code in `steerkit.oracle` must match bit for bit; of
+the blocked strategy enumeration that `certify_steering` ran for every Bob
+before the plane arrangement, which the arrangement must match bit for bit,
+and of the Bob tables from a grid stacked on every call; of
 the original Born rule (one np.kron and trace per effect pair), which
 `measure_joint` and `tensor_product` must match bit for bit; of the
 criteria's original if-chain dispatch, which the `CATALOG` evaluators must
@@ -65,6 +68,12 @@ def lp_system(phen, grid, bob):
     return a_mat, b_vec, strategies
 
 
+def bob_probability_table(grid, bob):
+    """Q[b][B, l] = Tr[F_B^b ρ_l] from a grid stacked anew on every call."""
+    rhos = np.array([rho.matrix for rho in grid.states])
+    return [np.real(np.trace(np.array(m.effects)[:, None] @ rhos[None], axis1=-2, axis2=-1)) for m in bob]
+
+
 def exact_bound(phen, functional, bob=None):
     """(lhs_bound, maximizing_strategy) by one eigvalsh per strategy."""
     bob = phen.strategy.bob if bob is None else bob
@@ -87,6 +96,35 @@ def exact_bound(phen, functional, bob=None):
         if top > best_bound:
             best_bound, best_strategy = top, strat
     return best_bound, tuple(best_strategy)
+
+
+def exact_bound_blocks(phen, functional, block=4096):
+    """(lhs_bound, maximizing_strategy) by the blocked enumeration: every
+    strategy in product order, `block` at a time, one stacked eigvalsh each."""
+    bob = phen.strategy.bob
+    counts = tuple(m.n_outcomes for m in phen.strategy.alice)
+    n_strategies = math.prod(counts)
+    dim = bob[0].dim
+    partial_ops = []
+    for (a_idx, b_idx), coeffs in zip(phen.strategy.pairing, functional.coeffs):
+        ops_for_entry = np.zeros((coeffs.shape[0], dim, dim), dtype=complex)
+        for a_out in range(coeffs.shape[0]):
+            for b_out, effect in enumerate(bob[b_idx].effects):
+                ops_for_entry[a_out] += coeffs[a_out, b_out] * effect
+        partial_ops.append(ops_for_entry)
+    best_bound = -np.inf
+    best_strategy = ()
+    for start in range(0, n_strategies, block):
+        outcomes = np.unravel_index(np.arange(start, min(start + block, n_strategies)), counts)
+        aggregated = np.zeros((len(outcomes[0]), dim, dim), dtype=complex)
+        for (a_idx, _), ops_for_entry in zip(phen.strategy.pairing, partial_ops):
+            aggregated += ops_for_entry[outcomes[a_idx]]
+        tops = np.linalg.eigvalsh(aggregated)[:, -1]
+        k = int(np.argmax(tops))
+        if tops[k] > best_bound:
+            best_bound = float(tops[k])
+            best_strategy = tuple(int(o[k]) for o in outcomes)
+    return best_bound, best_strategy
 
 
 def qubit_grid(resolution):

@@ -11,6 +11,7 @@ from steerkit.measurements import (
     Estimator,
     JointDistribution,
     Measurement,
+    MeasurementStrategy,
     PROB_FLOOR,
     assemblage_from_state,
     collective_variance,
@@ -80,6 +81,17 @@ class TestMeasurementValidation:
         p = np.diag([1.0, 0.0])
         with pytest.raises(ValueError):
             Measurement("bad", (1.0, -1.0), (p, np.eye(2) - p / 2), kind="projective")
+
+
+class TestMeasurementStrategy:
+    @pytest.mark.parametrize("party", ["alice", "bob"])
+    def test_mixed_dimensions_rejected(self, party):
+        jz1 = observable_to_measurement(spin_operators(1.0).jz, "Jz1")
+        sides = {"alice": (JZ_MEAS, JX_MEAS), "bob": (JZ_MEAS, JX_MEAS), party: (JZ_MEAS, jz1)}
+        name = "Alice" if party == "alice" else "Bob"
+        message = rf"{name}'s measurements mix dimensions: 'Jz' \(dimension 2\), 'Jz1' \(dimension 3\)"
+        with pytest.raises(ValueError, match=message):
+            MeasurementStrategy(pairing=((0, 0), (1, 1)), **sides)
 
 
 class TestJointDistributionValidation:

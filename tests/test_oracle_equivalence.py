@@ -3,11 +3,15 @@
 Only the dual columns, summed in another order than y @ A, carry one.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loop_reference
-from loop_reference import exact_bound, lp_system
+from loop_reference import exact_bound, exact_bound_blocks, lp_system
 from steerkit import oracle
 from steerkit.core import bipartite_from_matrix, spin_operators
 from steerkit.families import werner_state
@@ -22,6 +26,7 @@ from steerkit.oracle import (
     qubit_grid,
     random_pure_grid,
 )
+from test_measurements import trine_povm
 from util import random_density_matrix
 
 
@@ -109,6 +114,234 @@ class TestExactBound:
             certify_steering(phen, linear_correlation_functional(strategy))
 
 
+@pytest.fixture
+def arrangement(monkeypatch):
+    """Send every qubit certification through the arrangement; returns the size of each eigvalsh stack."""
+    monkeypatch.setattr(oracle, "ARRANGEMENT_MIN_STRATEGIES", 0)
+    evaluated = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a):
+        evaluated.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return evaluated
+
+
+def assert_same_certificate(phen, functional):
+    cert = certify_steering(phen, functional)
+    bound, strategy = exact_bound_blocks(phen, functional)
+    assert cert.lhs_bound == bound
+    assert cert.maximizing_strategy == strategy
+    assert cert.certified == bool(cert.observed_value > bound + oracle.CERTIFY_MARGIN)
+    assert all(type(i) is int for i in cert.maximizing_strategy)
+
+
+def assert_same_for_directions(rng, directions, state=None):
+    meas = spin_measurements(0.5, directions)
+    state = bipartite_from_matrix(random_density_matrix(rng, 4).matrix, 2, 2) if state is None else state
+    for strategy in (matched_strategy(meas, meas), all_pairs_strategy(meas, meas)):
+        phen = phenomenon_from_state(state, strategy)
+        assert_same_certificate(phen, linear_correlation_functional(strategy))
+        assert_same_certificate(phen, random_functional(rng, phen))
+
+
+def coplanar_directions(rng, n):
+    angles = rng.uniform(0, 2 * np.pi, n)
+    return np.stack([np.cos(angles), np.sin(angles), np.zeros(n)], 1)
+
+
+def matched_linear(directions):
+    """Werner μ = 0.7 and the linear functional, each direction paired with itself."""
+    meas = spin_measurements(0.5, directions)
+    strategy = matched_strategy(meas, meas)
+    return phenomenon_from_state(werner_state(0.7), strategy), linear_correlation_functional(strategy)
+
+
+def werner_grid_duals(n_mub, resolution):
+    meas = mub_qubit_measurements(n_mub)
+    strategy = all_pairs_strategy(meas, meas)
+    threshold = 1 / math.sqrt(n_mub)
+    for mu in (0.4, threshold - 0.01, threshold + 0.002, threshold + 0.01, threshold + 0.02, 0.9):
+        phen = phenomenon_from_state(werner_state(mu), strategy)
+        outcome = lhs_feasible(phen, qubit_grid(resolution))
+        if not outcome.feasible:
+            yield phen, oracle.functional_from_dual(phen, qubit_grid(resolution), outcome)
+
+
+class TestArrangement:
+    """The qubit arrangement evaluates a few strategies and keeps the enumeration's answer."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_random_directions(self, rng, arrangement, n):
+        assert_same_for_directions(rng, unit_directions(rng, n))
+
+    @pytest.mark.parametrize("n_mub", [2, 3])
+    @pytest.mark.parametrize("resolution", [50, 200, 800])
+    def test_werner_grid_duals(self, arrangement, n_mub, resolution):
+        duals = list(werner_grid_duals(n_mub, resolution))
+        assert len(duals) >= 3
+        for phen, functional in duals:
+            assert_same_certificate(phen, functional)
+
+    def test_tied_strategies_keep_the_first(self, arrangement):
+        strategy = all_pairs_strategy(mub_qubit_measurements(3), mub_qubit_measurements(3))
+        phen = phenomenon_from_state(werner_state(0.6), strategy)
+        assert_same_certificate(phen, linear_correlation_functional(strategy))
+
+    @pytest.mark.parametrize("n", [4, 9, 12])
+    def test_degenerate_directions(self, rng, arrangement, n):
+        half = unit_directions(rng, n // 2)
+        axes = np.eye(3)[rng.integers(0, 3, n)] * rng.choice([-1.0, 1.0], (n, 1))
+        assert_same_for_directions(rng, np.concatenate([half, half, half[:1]])[:n])  # repeated
+        assert_same_for_directions(rng, np.concatenate([half, -half, -half[:1]])[:n])  # antipodal
+        assert_same_for_directions(rng, coplanar_directions(rng, n))
+        assert_same_for_directions(rng, axes, werner_state(0.7))
+
+    def test_every_sampled_cell_is_a_candidate(self, rng, monkeypatch):
+        # The best response at a random point of the sphere is the strategy of
+        # the cell around it. With coplanar directions every circle passes
+        # through ±z, and some cells touch no other point of the arrangement.
+        monkeypatch.setattr(oracle, "ARRANGEMENT_MIN_STRATEGIES", 0)
+        found = []
+        candidates = oracle._arrangement_candidates
+
+        def recording_candidates(pairing, partial_ops, counts):
+            found.append((partial_ops, counts, candidates(pairing, partial_ops, counts)))
+            return found[-1][2]
+
+        monkeypatch.setattr(oracle, "_arrangement_candidates", recording_candidates)
+        for directions in (coplanar_directions(rng, 10), unit_directions(rng, 10)):
+            certify_steering(*matched_linear(directions))
+        for partial_ops, counts, indices in found:
+            ops = np.stack(partial_ops)  # one pairing entry per setting
+            alpha = 0.5 * (ops[..., 0, 0] + ops[..., 1, 1]).real
+            z = 0.5 * (ops[..., 0, 0] - ops[..., 1, 1]).real
+            beta = np.stack([ops[..., 1, 0].real, ops[..., 1, 0].imag, z], -1)
+            values = alpha + np.einsum("akc,pc->pak", beta, unit_directions(rng, 4000))
+            cells = np.ravel_multi_index(tuple(np.argmax(values, axis=2).T), counts)
+            assert set(cells.tolist()) <= set(indices.tolist())
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_tangent_planes_at_one_point(self, rng, arrangement, n):
+        # With v the Bloch vector of effect 0, outcome 0 gives -v·σ and outcome 1
+        # (I - v·σ)/2 on every setting: they tie only at -v, where all 2**n
+        # strategies are maximal.
+        meas = spin_measurements(0.5, unit_directions(rng, 1)) * n
+        strategy = matched_strategy(meas, meas)
+        phen = phenomenon_from_state(werner_state(0.7), strategy)
+        tangent = np.array([[-1.0, 1.0], [0.0, 1.0]])
+        assert_same_certificate(phen, SteeringFunctional(coeffs=(tangent,) * n))
+
+    def test_tangent_plane_at_a_degenerate_vertex(self, arrangement):
+        # The planes x = 0 and y = 0 (twice) meet at ±z, where settings 4 and 7
+        # have tangent planes: 16 tied combinations, so the sectors decide, and
+        # only the curvature of the sphere tells which outcome of 4 and 7 the
+        # quarter x < 0, y < 0 holding the maximum takes.
+        x, y, z = np.eye(3)
+        directions = np.array([z, x, -y, -y, -z, x, x, z, -x, y, -y, -y])
+        blocks = [
+            [[1, -2], [2, 1]], [[-1, 0], [1, -2]], [[0, 0], [1, 2]], [[2, 1], [1, 2]],
+            [[1, 0], [2, 0]], [[0, -1], [-1, 1]], [[1, -1], [0, -2]], [[1, -2], [2, -2]],
+            [[2, -2], [0, -1]], [[0, 2], [1, -1]], [[-1, -1], [0, 0]], [[1, 1], [2, 0]],
+        ]
+        phen, _ = matched_linear(directions)
+        assert_same_certificate(phen, SteeringFunctional(coeffs=tuple(np.array(b, dtype=float) for b in blocks)))
+
+    def test_integer_coefficients(self, rng, arrangement):
+        # Small integer coefficients tie many strategies exactly.
+        axes = np.eye(3)[rng.integers(0, 3, 9)] * rng.choice([-1.0, 1.0], (9, 1))
+        for directions in (axes, unit_directions(rng, 9)):
+            meas = spin_measurements(0.5, directions)
+            for strategy in (matched_strategy(meas, meas), all_pairs_strategy(meas, meas)):
+                phen = phenomenon_from_state(werner_state(0.7), strategy)
+                for _ in range(4):
+                    coeffs = tuple(rng.integers(-2, 3, t.probs.shape).astype(float) for t in phen.tables)
+                    assert_same_certificate(phen, SteeringFunctional(coeffs=coeffs))
+
+    def test_zero_blocks_and_unpaired_setting(self, rng, arrangement):
+        meas = spin_measurements(0.5, unit_directions(rng, 6))
+        state = bipartite_from_matrix(random_density_matrix(rng, 4).matrix, 2, 2)
+        strategy = all_pairs_strategy(meas, meas)
+        phen = phenomenon_from_state(state, strategy)
+        coeffs = [rng.standard_normal(t.probs.shape) for t in phen.tables]
+        coeffs[7] = np.zeros_like(coeffs[7])
+        assert_same_certificate(phen, SteeringFunctional(coeffs=tuple(coeffs)))
+        assert_same_certificate(phen, SteeringFunctional(coeffs=tuple(np.zeros_like(c) for c in coeffs)))
+        # Alice setting 2 is in no pairing entry: it takes outcome 0.
+        pairing = tuple((a, b) for a, b in strategy.pairing if a != 2)
+        unpaired = MeasurementStrategy(alice=meas, bob=meas, pairing=pairing)
+        phen = phenomenon_from_state(state, unpaired)
+        cert = certify_steering(phen, random_functional(rng, phen))
+        assert cert.maximizing_strategy[2] == 0
+        assert_same_certificate(phen, random_functional(rng, phen))
+
+    def test_three_outcome_alice(self, rng, arrangement):
+        bob = spin_measurements(0.5, unit_directions(rng, 3))
+        for alice, dim_a in (((trine_povm(),) * 2 + spin_measurements(0.5, unit_directions(rng, 2)), 2),
+                             (spin_measurements(1.0, unit_directions(rng, 4)), 3)):
+            state = bipartite_from_matrix(random_density_matrix(rng, 2 * dim_a).matrix, dim_a, 2)
+            phen = phenomenon_from_state(state, all_pairs_strategy(alice, bob))
+            for _ in range(3):
+                assert_same_certificate(phen, random_functional(rng, phen))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        directions=st.lists(
+            st.tuples(*[st.floats(-1, 1, allow_nan=False)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_enumeration(self, directions, seed):
+        rng = np.random.default_rng(seed)
+        directions = np.array(directions)
+        meas = spin_measurements(0.5, directions / np.linalg.norm(directions, axis=1, keepdims=True))
+        strategy = MeasurementStrategy(
+            alice=meas, bob=meas, pairing=tuple((i, int(k)) for i, k in enumerate(rng.permutation(len(meas))))
+        )
+        state = bipartite_from_matrix(random_density_matrix(rng, 4).matrix, 2, 2)
+        phen = phenomenon_from_state(state, strategy)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "ARRANGEMENT_MIN_STRATEGIES", 0)
+            assert_same_certificate(phen, random_functional(rng, phen))
+
+    def test_sixteen_settings_skip_enumeration(self, rng, arrangement):
+        phen, functional = matched_linear(unit_directions(rng, 16))
+        assert_same_certificate(phen, functional)
+        arrangement.clear()
+        certify_steering(phen, functional)
+        assert 0 < sum(arrangement) < 2**16 // 64
+
+    def test_coplanar_candidates_stay_quadratic(self, rng, arrangement):
+        phen, functional = matched_linear(coplanar_directions(rng, 16))
+        assert_same_certificate(phen, functional)
+        arrangement.clear()
+        certify_steering(phen, functional)
+        assert 0 < sum(arrangement) < 4 * 16**2
+
+    def test_dispatch_by_strategy_count_and_dimension(self, rng, monkeypatch):
+        calls = []
+        candidates = oracle._arrangement_candidates
+
+        def recording_candidates(pairing, partial_ops, counts):
+            calls.append(len(counts))
+            return candidates(pairing, partial_ops, counts)
+
+        monkeypatch.setattr(oracle, "_arrangement_candidates", recording_candidates)
+        n = (oracle.ARRANGEMENT_MIN_STRATEGIES - 1).bit_length()  # least n with 2**n at the constant
+        for k in (n - 1, n):
+            assert_same_certificate(*matched_linear(unit_directions(rng, k)))
+        assert calls == [n]
+        spin1 = spin_measurements(1.0, unit_directions(rng, 7))  # 3**7 strategies, qutrit Bob
+        state = bipartite_from_matrix(random_density_matrix(rng, 9).matrix, 3, 3)
+        phen = phenomenon_from_state(state, matched_strategy(spin1, spin1))
+        assert_same_certificate(phen, random_functional(rng, phen))
+        assert calls == [n]
+
+
 def assert_same_system(phen, grid):
     a_mat, b_vec, n_strategies = oracle._lp_system(phen, grid)
     ref_a, ref_b, ref_strategies = lp_system(phen, grid, phen.strategy.bob)
@@ -144,6 +377,16 @@ class TestGrids:
         grid = qubit_grid(resolution)
         assert grid_bytes(grid) == grid_bytes(loop_reference.qubit_grid(resolution))
         assert grid.resolution == resolution
+
+    @pytest.mark.parametrize("resolution", [50, 800])
+    def test_bob_tables_read_the_stacked_grid(self, resolution):
+        grid = qubit_grid(resolution)
+        assert grid.matrices.tobytes() == grid_bytes(grid)
+        assert not grid.matrices.flags.writeable
+        bob = mub_qubit_measurements(3)
+        tables = oracle._bob_probability_table(grid, bob)
+        for table, ref in zip(tables, loop_reference.bob_probability_table(grid, bob), strict=True):
+            assert table.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("seed", [oracle.GRID_SEED, 7])
     @pytest.mark.parametrize("resolution", [1, 30, 800])
