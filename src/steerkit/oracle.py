@@ -48,8 +48,8 @@ ARRANGEMENT_MIN_STRATEGIES = 2**10
 # times the number of settings, of a setting's best count as tied; planes
 # closer than this to parallel do not meet.
 TIE_RTOL = 1e-9
-# A point where more combinations of tied outcomes than this meet gives one
-# strategy per sector around it, unless it can reach the bound.
+# Where more combinations of tied outcomes than this meet at one point, the
+# arrangement gives up and every strategy is evaluated.
 VERTEX_BRANCH_CAP = 8
 # Per-constraint slack band absorbed as feasible (floating-point residue).
 SLACK_BAND = 1e-9
@@ -209,9 +209,9 @@ def _strategy_count(outcome_counts: Sequence[int]) -> int:
     return total
 
 
-def _strategy_block(outcome_counts: Sequence[int], start: int, stop: int) -> tuple[np.ndarray, ...]:
-    """Strategies start..stop-1 as one outcome-index array per setting, in itertools.product order."""
-    return np.unravel_index(np.arange(start, stop), tuple(outcome_counts))
+def _strategy_block(outcome_counts: Sequence[int], indices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The strategies at these itertools.product-order indices, as one outcome-index array per setting."""
+    return np.unravel_index(indices, tuple(outcome_counts))
 
 
 def _bob_probability_table(grid: HiddenStateGrid, bob: Sequence[Measurement]) -> list[np.ndarray]:
@@ -233,7 +233,7 @@ def _lp_system(phen: Phenomenon, grid: HiddenStateGrid) -> tuple[np.ndarray, np.
     """
     counts = [m.n_outcomes for m in phen.strategy.alice]
     n_strategies = _strategy_count(counts)
-    outcomes = _strategy_block(counts, 0, n_strategies)
+    outcomes = _strategy_block(counts, np.arange(n_strategies))
     q_tables = _bob_probability_table(grid, phen.strategy.bob)
     n_rows = sum(t.probs.size for t in phen.tables) + 1
     a_mat = np.empty((n_rows, n_strategies * len(grid.states)))
@@ -343,7 +343,7 @@ def _dual_columns(phen: Phenomenon, grid: HiddenStateGrid, y: np.ndarray) -> np.
     (a, b), Σ_B y[k(a), B]·Q[b][B, l].
     """
     counts = [m.n_outcomes for m in phen.strategy.alice]
-    outcomes = _strategy_block(counts, 0, _strategy_count(counts))
+    outcomes = _strategy_block(counts, np.arange(_strategy_count(counts)))
     q_tables = _bob_probability_table(grid, phen.strategy.bob)
     columns = np.full((len(outcomes[0]), len(grid.states)), y[-1])
     for (a_idx, b_idx), y_block in zip(phen.strategy.pairing, _dual_blocks(phen, y)):
@@ -430,32 +430,6 @@ def _plane_points(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     )
 
 
-def _sector_choices(u: np.ndarray, beta: np.ndarray, tied: np.ndarray, tol: float) -> np.ndarray:
-    """One strategy per sector around a point where many settings tie.
-
-    Near u, a tied setting's best outcome in tangent direction t is the tied
-    one with the largest slope β·t, so the choices change only where two
-    tied outcomes have equal slope. Outcomes whose slopes stay equal differ
-    along u alone, as at a tangent plane, and the sphere's curvature favours
-    the smaller β·u. Returns the choices at each sector's middle.
-    """
-    e1 = _off_axis(u)
-    e2 = np.cross(_unit(u), e1)
-    settings, first, second = np.nonzero(tied[:, :, None] & tied[:, None, :])
-    keep = first < second
-    slope = beta[settings[keep], first[keep]] - beta[settings[keep], second[keep]]
-    slope = np.stack([slope @ e1, slope @ e2], axis=1)
-    slope = slope[np.hypot(slope[:, 0], slope[:, 1]) > tol]
-    # Each pair of tied outcomes swaps along the line orthogonal to its slope.
-    cuts = np.arctan2(slope[:, 1], slope[:, 0]) + 0.5 * np.pi
-    cuts = np.unique(np.concatenate([cuts, cuts + np.pi]) % (2 * np.pi))
-    mids = 0.5 * (cuts + np.append(cuts[1:], cuts[:1] + 2 * np.pi)) if len(cuts) else np.zeros(1)
-    directions = np.cos(mids)[:, None] * e1 + np.sin(mids)[:, None] * e2
-    slopes = np.where(tied, np.einsum("akc,qc->qak", beta, directions), -np.inf)
-    steepest = slopes >= slopes.max(axis=2, keepdims=True) - tol
-    return np.argmax(np.where(steepest, -(beta @ u), -np.inf), axis=2)
-
-
 def _arrangement_candidates(
     pairing: Sequence[tuple[int, int]], partial_ops: Sequence[np.ndarray], counts: Sequence[int]
 ) -> np.ndarray:
@@ -467,9 +441,15 @@ def _arrangement_candidates(
     response on some cell of the arrangement of the planes where two
     outcomes of a setting tie can attain it. Every cell has a point of
     `_plane_points` in its closure; there the greedy response is branched
-    over the tied outcomes, or taken per sector where too many tie.
+    over the tied outcomes. Returns every strategy instead where a point
+    joins more than VERTEX_BRANCH_CAP tied combinations, or where the
+    arrangement's table of values would pass STRATEGY_CAP entries.
     """
-    n_settings, k_max = len(counts), max(counts)
+    n_settings, k_max, n_strategies = len(counts), max(counts), math.prod(counts)
+    # m planes give at most m² + 1 points, each valued at every outcome.
+    n_planes = sum(k * (k - 1) // 2 for k in counts)
+    if (n_planes**2 + 1) * n_settings * k_max > STRATEGY_CAP:
+        return np.arange(n_strategies)
     strides = np.array([math.prod(counts[a + 1 :]) for a in range(n_settings)], dtype=np.int64)
     settings = np.array([a_idx for a_idx, _ in pairing])
     padded = np.zeros((len(pairing), k_max, 2, 2), dtype=complex)
@@ -489,7 +469,7 @@ def _arrangement_candidates(
         [ops[..., 1, 0].real, ops[..., 1, 0].imag, 0.5 * (ops[..., 0, 0].real - ops[..., 1, 1].real)], axis=-1
     )
     finite = np.isfinite(alpha)
-    tol = TIE_RTOL * n_settings * max(1.0, np.abs(alpha[finite]).max(), np.abs(beta).max())
+    tol = TIE_RTOL * n_settings * max(np.abs(alpha[finite]).max(), np.abs(beta).max())
     a_idx, first, second = np.nonzero(finite[:, :, None] & finite[:, None, :])
     keep = first < second
     a_idx, first, second = a_idx[keep], first[keep], second[keep]
@@ -503,24 +483,11 @@ def _arrangement_candidates(
     values = alpha + np.einsum("akc,pc->pak", beta, points)
     greedy = np.argmax(values, axis=2)
     tied = values >= values.max(axis=2, keepdims=True) - tol
-    few = np.prod(tied.sum(axis=2), axis=1) <= VERTEX_BRANCH_CAP
-    indices = _branch(greedy[few], tied[few], strides)
-    if few.all():
-        return np.unique(indices)
-    # Degenerate points with the same greedy response and ties give the same strategies.
-    many = np.nonzero(~few)[0]
-    key = np.concatenate([greedy[many], tied[many].reshape(len(many), -1)], axis=1)
-    many = many[np.unique(key, axis=0, return_index=True)[1]]
-    indices = np.concatenate([indices, *(_sector_choices(points[p], beta, tied[p], tol) @ strides for p in many)])
-    # The sectors miss only strategies whose best direction is the point
-    # itself, worth the point's greedy value: branch fully where that value
-    # comes within the tolerance of the best strategy found.
-    choices = np.unravel_index(indices, counts)
-    alpha_k = sum(alpha[a, c] for a, c in enumerate(choices))
-    beta_k = sum(beta[a, c] for a, c in enumerate(choices))
-    best = np.max(alpha_k + np.linalg.norm(beta_k, axis=1))
-    reach = many[values[many].max(axis=2).sum(axis=1) >= best - tol]
-    return np.unique(np.concatenate([indices, _branch(greedy[reach], tied[reach], strides)]))
+    # Where many ties meet (coplanar, repeated or antipodal directions, blocks
+    # below the tolerance), branching approaches every strategy.
+    if np.prod(tied.sum(axis=2), axis=1).max() > VERTEX_BRANCH_CAP:
+        return np.arange(n_strategies)
+    return np.unique(_branch(greedy, tied, strides))
 
 
 def _branch(greedy: np.ndarray, tied: np.ndarray, strides: np.ndarray) -> np.ndarray:
@@ -581,7 +548,7 @@ def certify_steering(phen: Phenomenon, functional: SteeringFunctional) -> Steeri
     best_bound = -np.inf
     best_strategy: tuple[int, ...] = ()
     for start in range(0, len(indices), STRATEGY_BLOCK):
-        outcomes = np.unravel_index(indices[start : start + STRATEGY_BLOCK], counts)
+        outcomes = _strategy_block(counts, indices[start : start + STRATEGY_BLOCK])
         aggregated = np.zeros((len(outcomes[0]), dim, dim), dtype=complex)
         for (a_idx, _), ops_for_entry in zip(phen.strategy.pairing, partial_ops):
             aggregated += ops_for_entry[outcomes[a_idx]]
@@ -609,7 +576,7 @@ def reproduce_tables(phen: Phenomenon, grid: HiddenStateGrid, weights: np.ndarra
     n_strategies = _strategy_count(counts)
     if weights.shape != (n_strategies, len(grid.states)):
         raise ValueError(f"weights shape {weights.shape} does not match strategies x grid")
-    outcomes = _strategy_block(counts, 0, n_strategies)
+    outcomes = _strategy_block(counts, np.arange(n_strategies))
     q_tables = _bob_probability_table(grid, phen.strategy.bob)
     rebuilt = []
     for (a_idx, b_idx), table in zip(phen.strategy.pairing, phen.tables):

@@ -15,7 +15,7 @@ from loop_reference import exact_bound, exact_bound_blocks, lp_system
 from steerkit import oracle
 from steerkit.core import bipartite_from_matrix, spin_operators
 from steerkit.families import werner_state
-from steerkit.measurements import MeasurementStrategy, all_pairs_strategy, observable_to_measurement
+from steerkit.measurements import Measurement, MeasurementStrategy, all_pairs_strategy, observable_to_measurement
 from steerkit.oracle import (
     SteeringFunctional,
     certify_steering,
@@ -236,8 +236,8 @@ class TestArrangement:
 
     def test_tangent_plane_at_a_degenerate_vertex(self, arrangement):
         # The planes x = 0 and y = 0 (twice) meet at ±z, where settings 4 and 7
-        # have tangent planes: 16 tied combinations, so the sectors decide, and
-        # only the curvature of the sphere tells which outcome of 4 and 7 the
+        # have tangent planes: 16 tied combinations, past VERTEX_BRANCH_CAP.
+        # Only the curvature of the sphere tells which outcome of 4 and 7 the
         # quarter x < 0, y < 0 holding the maximum takes.
         x, y, z = np.eye(3)
         directions = np.array([z, x, -y, -y, -z, x, x, z, -x, y, -y, -y])
@@ -315,12 +315,63 @@ class TestArrangement:
         certify_steering(phen, functional)
         assert 0 < sum(arrangement) < 2**16 // 64
 
-    def test_coplanar_candidates_stay_quadratic(self, rng, arrangement):
+    def test_scaled_functional_skips_enumeration(self, rng, arrangement):
+        # Ties are judged relative to the coefficients: a functional scaled far
+        # below 1 has the same cells, not every outcome tied everywhere.
+        phen, functional = matched_linear(unit_directions(rng, 16))
+        scaled = SteeringFunctional(coeffs=tuple(1e-12 * c for c in functional.coeffs))
+        assert_same_certificate(phen, scaled)
+        arrangement.clear()
+        certify_steering(phen, scaled)
+        assert 0 < sum(arrangement) < 2**16 // 64
+
+    def test_degenerate_vertex_evaluates_every_strategy(self, rng, arrangement):
+        # Every circle of 16 coplanar directions passes through ±z, where all
+        # 2**16 combinations tie.
         phen, functional = matched_linear(coplanar_directions(rng, 16))
         assert_same_certificate(phen, functional)
         arrangement.clear()
         certify_steering(phen, functional)
-        assert 0 < sum(arrangement) < 4 * 16**2
+        assert sum(arrangement) == 2**16
+
+    def test_blocks_below_the_tolerance(self, rng, arrangement):
+        # Blocks ε·F_0 below the tie tolerance tie their two outcomes
+        # everywhere, yet at the maximizing direction u of the other settings
+        # outcome 0 is worth ε/2 more: 3.5e-9 in all, past CERTIFY_MARGIN.
+        # Their directions are orthogonal to u, 120° apart around it.
+        for _ in range(4):
+            directions = unit_directions(rng, 9)
+            phen, functional = matched_linear(directions)
+            cert = certify_steering(phen, functional)
+            values = [m.values[k] for m, k in zip(phen.strategy.alice, cert.maximizing_strategy)]
+            u = -np.array(values) @ directions
+            e1 = np.cross(u, directions[0])
+            e1, e2 = e1 / np.linalg.norm(e1), np.cross(u, e1) / np.linalg.norm(u)
+            angles = rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(3) / 3
+            around = np.cos(angles)[:, None] * e1 + np.sin(angles)[:, None] * e2
+            phen, functional = matched_linear(np.concatenate([directions, around]))
+            small = tuple(np.array([[eps, 0.0], [0.0, 0.0]]) for eps in (1e-9, 2e-9, 4e-9))
+            assert_same_certificate(phen, SteeringFunctional(coeffs=functional.coeffs[:9] + small))
+
+    def test_many_outcomes_evaluate_every_strategy(self, rng, arrangement):
+        # One 16-outcome POVM gives 120 planes: the table of values at their
+        # intersections would pass STRATEGY_CAP entries.
+        spin = spin_operators(0.5)
+        axes = unit_directions(rng, 8)
+        effects = [
+            (np.eye(2) + 2 * sign * (x * spin.jx + y * spin.jy + z * spin.jz)) / 16
+            for sign in (1, -1)
+            for x, y, z in axes
+        ]
+        povm = Measurement("sixteen", tuple(float(k) for k in range(16)), tuple(effects), kind="povm")
+        meas = spin_measurements(0.5, unit_directions(rng, 7))
+        state = bipartite_from_matrix(random_density_matrix(rng, 4).matrix, 2, 2)
+        phen = phenomenon_from_state(state, matched_strategy((povm,) + meas[1:], meas))
+        functional = random_functional(rng, phen)
+        assert_same_certificate(phen, functional)
+        arrangement.clear()
+        certify_steering(phen, functional)
+        assert sum(arrangement) == 16 * 2**6
 
     def test_dispatch_by_strategy_count_and_dimension(self, rng, monkeypatch):
         calls = []
