@@ -32,7 +32,6 @@ from .families import (
 from .gaussian import GaussianState, SymmetricTwoModeParams, symmetric_two_mode
 from .measurements import (
     Assemblage,
-    Estimator,
     JointDistribution,
     Measurement,
     MeasurementStrategy,
@@ -41,7 +40,6 @@ from .measurements import (
     inference_variance,
     inferred_abs_mean,
     measure_joint,
-    min_inference_variance,
     observable_to_measurement,
 )
 from .oracle import (

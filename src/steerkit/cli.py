@@ -95,6 +95,8 @@ def _parse_bracket(spec: str) -> tuple[float, float]:
         raise UsageError(f"cannot parse bracket {spec!r}: {exc}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError(f"bracket endpoints must be finite, got {spec!r}")
+    if not lo < hi:
+        raise UsageError(f"bracket lo must be below hi, got {spec!r}")
     return lo, hi
 
 
@@ -207,6 +209,12 @@ def cmd_boundary(args: argparse.Namespace) -> int:
         raise UsageError(f"--tol must be positive, got {args.tol}")
     if not math.isfinite(args.tol):
         raise UsageError(f"--tol must be finite, got {args.tol}")
+    if bracket is not None:
+        lo, hi = FAMILIES[args.family].parameter_ranges[args.param]
+        if bracket[0] < lo or bracket[1] > hi:
+            raise UsageError(
+                f"bracket {args.bracket} outside range [{_fmt(lo)}, {_fmt(hi)}] of parameter {args.param!r}"
+            )
     result = boundary_bisect(
         args.criterion,
         args.family,

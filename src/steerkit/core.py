@@ -76,21 +76,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def stack(cls, matrices: np.ndarray) -> tuple[DensityMatrix, ...]:
-        """Validate an (n, d, d) stack once and wrap its read-only slices."""
-        m = np.asarray(matrices, dtype=complex)
-        if m.ndim != 3 or m.shape[1] != m.shape[2]:
-            raise ValueError(f"density matrix stack must have shape (n, d, d), got {m.shape}")
-        check_density_matrices(m)
-        m.setflags(write=False)
-        states = []
-        for rho in m:
-            state = object.__new__(cls)
-            object.__setattr__(state, "matrix", rho)
-            states.append(state)
-        return tuple(states)
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

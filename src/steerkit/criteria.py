@@ -26,8 +26,6 @@ from .core import (
 )
 from .gaussian import P_A, P_B, X_A, X_B, GaussianState, conditional_min_variance, linear_combination_variance
 from .measurements import (
-    CONDITIONAL_MEAN,
-    Estimator,
     JointDistribution,
     Measurement,
     PROB_FLOOR,
@@ -87,16 +85,18 @@ def _result(
 
 @dataclass(frozen=True)
 class InferencePair:
-    """One inferred Bob observable: his measurement, Alice's, and her estimator."""
+    """One inferred Bob observable: his measurement and Alice's.
+
+    Alice estimates Bob's outcome by its conditional mean given hers.
+    """
 
     alice: Measurement
     bob: Measurement
-    estimator: Estimator = CONDITIONAL_MEAN
 
 
 @dataclass(frozen=True)
 class InferencePlan:
-    """Measurement/estimator choices for each inferred Bob observable.
+    """Measurement choices for each inferred Bob observable.
 
     Alice's choices are free parameters of every inference criterion; a plan
     pins them down explicitly.
@@ -115,17 +115,15 @@ def _spin_measurements(j: float, party: str) -> tuple[Measurement, Measurement, 
     return tuple(observable_to_measurement(ops.component(axis), f"J{axis}_{party}") for axis in "xyz")
 
 
-def spin_triple_plan(
-    j_alice: float, j_bob: float | None = None, estimator: Estimator = CONDITIONAL_MEAN
-) -> InferencePlan:
+def spin_triple_plan(j_alice: float, j_bob: float | None = None) -> InferencePlan:
     """Plan measuring the same spin component (x, y, z) on both sides."""
     j_bob = j_alice if j_bob is None else j_bob
     alice, bob = _spin_measurements(j_alice, "A"), _spin_measurements(j_bob, "B")
-    return InferencePlan(pairs=tuple(InferencePair(a, b, estimator) for a, b in zip(alice, bob)))
+    return InferencePlan(pairs=tuple(InferencePair(a, b) for a, b in zip(alice, bob)))
 
 
-def default_spin_plan(state: BipartiteState, estimator: Estimator = CONDITIONAL_MEAN) -> InferencePlan:
-    return spin_triple_plan((state.dim_a - 1) / 2, (state.dim_b - 1) / 2, estimator)
+def default_spin_plan(state: BipartiteState) -> InferencePlan:
+    return spin_triple_plan((state.dim_a - 1) / 2, (state.dim_b - 1) / 2)
 
 
 def _check_commutation(b_ops: Sequence[np.ndarray], labels: Sequence[str], cyclic: bool) -> None:
@@ -170,8 +168,8 @@ def _uncertainty_pair_terms(
     labels = [p.bob.label for p in plan.pairs]
     _check_commutation(b_ops, labels, cyclic=False)
     joints = _plan_joints(state, plan)
-    v1 = inference_variance(joints[0], plan.pairs[0].estimator)
-    v2 = inference_variance(joints[1], plan.pairs[1].estimator)
+    v1 = inference_variance(joints[0])
+    v2 = inference_variance(joints[1])
     return b_ops, joints, v1, v2
 
 
@@ -184,8 +182,8 @@ def eval_product_criterion(state: BipartiteState, plan: InferencePlan) -> Criter
         "inference_variance_1": v1,
         "inference_variance_2": v2,
         "inferred_abs_mean_3": abs_mean_inf,
-        "estimator_1": plan.pairs[0].estimator.mode,
-        "estimator_2": plan.pairs[1].estimator.mode,
+        "estimator_1": "conditional-mean",
+        "estimator_2": "conditional-mean",
     }
     details.update(_conditional_mean_details(joints[2], "3"))
     return _result("product-spin", lhs, 0.5 * abs_mean_inf, VIOLATED_IF_BELOW, details)
@@ -234,7 +232,7 @@ def eval_additive_sum_three_spin(
     if np.max(np.abs(casimir - j_val * (j_val + 1) * np.eye(state.dim_b))) > COMMUTATION_TOL:
         raise ValueError(f"Bob observables ({', '.join(labels)}) are not a spin-{j_val} triple")
     joints = _plan_joints(state, plan)
-    variances = [inference_variance(jd, p.estimator) for jd, p in zip(joints, plan.pairs)]
+    variances = [inference_variance(jd) for jd in joints]
     details: dict[str, float | str] = {
         f"inference_variance_{i + 1}": v for i, v in enumerate(variances)
     }

@@ -142,7 +142,9 @@ def boundary_bisect(
     The verdict must differ at the bracket endpoints and be monotone across
     nine interior probes (criterion margins along a family are not monotone
     in general, so this is checked rather than assumed). The threshold is the
-    final bracket midpoint; `tol` bounds the bracket width.
+    final bracket midpoint; `tol` bounds the bracket width, unless it is
+    below the float spacing at the flip, where the bracket stops at two
+    adjacent floats.
     """
     fixed = dict(fixed or {})
     if family_id not in FAMILIES:
@@ -179,6 +181,8 @@ def boundary_bisect(
     lo, hi = positions[flip_at], positions[flip_at + 1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
+            break
         if verdict(mid) == v_lo:
             lo = mid
         else:

@@ -17,14 +17,14 @@ from .core import (
     ATOL_STRUCTURAL,
     BipartiteState,
     dagger,
-    expectation,
     hermitian_eigensystem,
     is_hermitian,
     tensor_product,
+    variance,
 )
 
-# Alice outcomes with probability below this carry no weight: aggregate
-# quantities skip them; conditioning on them directly is an error.
+# Alice outcomes with probability at or below this carry no weight: their
+# conditional mean of B is taken as 0, and inferred_abs_mean skips them.
 PROB_FLOOR = 1e-12
 
 # Eigenvalues closer than this are merged into one degenerate outcome.
@@ -192,14 +192,6 @@ def measure_joint(state: BipartiteState, a: Measurement, b: Measurement) -> Join
     return JointDistribution(a_values=a.values, b_values=b.values, probs=probs)
 
 
-def conditional_distribution(joint: JointDistribution, given_a: int) -> tuple[np.ndarray, float]:
-    """P(B | A = a_values[given_a]) and the weight P(A)."""
-    weight = float(joint.probs[given_a].sum())
-    if weight <= PROB_FLOOR:
-        raise ValueError(f"cannot condition on Alice outcome {given_a} with probability {weight:.3e}")
-    return joint.probs[given_a] / weight, weight
-
-
 def _conditional_means(joint: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Per-Alice-outcome weights and conditional means of B; zero-weight rows get mean 0."""
     weights = joint.marginal_a()
@@ -211,70 +203,16 @@ def _conditional_means(joint: JointDistribution) -> tuple[np.ndarray, np.ndarray
     return weights, means
 
 
-@dataclass(frozen=True)
-class Estimator:
-    """Alice's rule for guessing Bob's outcome from her own.
+def inference_variance(joint: JointDistribution) -> float:
+    """Σ_A P(A)·Var(B|A): the mean squared error of Alice's best estimate of B.
 
-    conditional-mean guesses the mean of P(B|A); linear(gain) guesses
-    -gain·A + <B + gain·A>; a custom table supplies one estimate per Alice
-    outcome (aligned with the joint distribution's a_values).
+    The best estimate is the conditional mean of P(B|A); no estimator does
+    better (Reid 1989; Cavalcanti, Jones, Wiseman & Reid 2009).
     """
-
-    mode: str = "conditional-mean"
-    gain: float | None = None
-    table: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("conditional-mean", "linear", "table"):
-            raise ValueError(f"unknown estimator mode {self.mode!r}")
-        if self.mode == "linear" and self.gain is None:
-            raise ValueError("linear estimator requires a gain")
-        if self.mode == "table" and self.table is None:
-            raise ValueError("table estimator requires a table")
-
-    @staticmethod
-    def conditional_mean() -> "Estimator":
-        return Estimator(mode="conditional-mean")
-
-    @staticmethod
-    def linear(gain: float) -> "Estimator":
-        return Estimator(mode="linear", gain=float(gain))
-
-    @staticmethod
-    def from_table(estimates: tuple[float, ...] | list[float]) -> "Estimator":
-        return Estimator(mode="table", table=tuple(float(v) for v in estimates))
-
-
-CONDITIONAL_MEAN = Estimator()
-
-
-def _estimates(joint: JointDistribution, est: Estimator) -> np.ndarray:
-    a = np.asarray(joint.a_values)
-    if est.mode == "conditional-mean":
-        _, means = _conditional_means(joint)
-        return means
-    if est.mode == "linear":
-        g = float(est.gain)  # type: ignore[arg-type]
-        weights = joint.marginal_a()
-        mean_b_plus_ga = joint.mean_b() + g * float(weights @ a)
-        return -g * a + mean_b_plus_ga
-    assert est.table is not None
-    if len(est.table) != len(a):
-        raise ValueError(f"estimator table has {len(est.table)} entries for {len(a)} Alice outcomes")
-    return np.asarray(est.table)
-
-
-def inference_variance(joint: JointDistribution, est: Estimator = CONDITIONAL_MEAN) -> float:
-    """Mean squared error <(B - B_est(A))^2> of Alice's estimate."""
-    estimates = _estimates(joint, est)
+    _, means = _conditional_means(joint)
     b = np.asarray(joint.b_values)
-    err_sq = (b[None, :] - estimates[:, None]) ** 2
+    err_sq = (b[None, :] - means[:, None]) ** 2
     return float(np.sum(joint.probs * err_sq))
-
-
-def min_inference_variance(joint: JointDistribution) -> float:
-    """Σ_A P(A)·Var(B|A): the best any estimator can do, the conditional-mean one's variance."""
-    return inference_variance(joint, CONDITIONAL_MEAN)
 
 
 def inferred_abs_mean(joint: JointDistribution) -> float:
@@ -296,9 +234,7 @@ def collective_variance(
     collective = g * tensor_product(a_obs, np.eye(state.dim_b)) + tensor_product(
         np.eye(state.dim_a), b_obs
     )
-    mean = expectation(collective, state.matrix)
-    second = expectation(collective @ collective, state.matrix)
-    return second - mean * mean
+    return variance(collective, state.matrix)
 
 
 @dataclass(frozen=True)

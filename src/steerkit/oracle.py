@@ -19,12 +19,12 @@ sphere leaves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ATOL_SPECTRAL, BipartiteState, DensityMatrix, spin_operators
+from .core import ATOL_SPECTRAL, BipartiteState, check_density_matrices, spin_operators
 from .measurements import (
     JointDistribution,
     Measurement,
@@ -134,26 +134,27 @@ def mix_phenomena(p: float, first: Phenomenon, second: Phenomenon) -> Phenomenon
 
 @dataclass(frozen=True)
 class HiddenStateGrid:
-    """Candidate hidden states for Bob: deterministic pure-state sample plus I/d."""
+    """Candidate hidden states for Bob: deterministic pure-state sample plus I/d.
 
-    states: tuple[DensityMatrix, ...]
+    The states are one read-only (n, d, d) array, validated once.
+    """
+
+    matrices: np.ndarray
     resolution: int
-    # The states as one read-only (n, d, d) stack, built once.
-    matrices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.states:
+        m = np.array(self.matrices, dtype=complex)
+        if m.ndim != 3 or m.shape[1] != m.shape[2]:
+            raise ValueError(f"hidden-state grid must have shape (n, d, d), got {m.shape}")
+        if not len(m):
             raise ValueError("hidden-state grid is empty")
-        dims = sorted({rho.dim for rho in self.states})
-        if len(dims) > 1:
-            raise ValueError(f"hidden-state grid mixes state dimensions {dims}")
-        matrices = np.array([rho.matrix for rho in self.states])
-        matrices.setflags(write=False)
-        object.__setattr__(self, "matrices", matrices)
+        check_density_matrices(m)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrices", m)
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.matrices.shape[1]
 
 
 def qubit_grid(resolution: int) -> HiddenStateGrid:
@@ -172,7 +173,7 @@ def qubit_grid(resolution: int) -> HiddenStateGrid:
     # sum() starts from 0 and adds x, y, z in turn, as the per-state sum did.
     bloch = sum(c[:, None, None] * s for c, s in zip(direction, paulis))
     rhos = np.concatenate([0.5 * (eye + bloch), (eye / 2)[None]])
-    return HiddenStateGrid(states=DensityMatrix.stack(rhos), resolution=resolution)
+    return HiddenStateGrid(matrices=rhos, resolution=resolution)
 
 
 def random_pure_grid(dim: int, resolution: int, seed: int = GRID_SEED) -> HiddenStateGrid:
@@ -186,7 +187,7 @@ def random_pure_grid(dim: int, resolution: int, seed: int = GRID_SEED) -> Hidden
     psi /= np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))[:, None]
     pure = psi[:, :, None] * psi.conj()[:, None, :]
     rhos = np.concatenate([pure, (np.eye(dim, dtype=complex) / dim)[None]])
-    return HiddenStateGrid(states=DensityMatrix.stack(rhos), resolution=resolution)
+    return HiddenStateGrid(matrices=rhos, resolution=resolution)
 
 
 def hidden_state_grid(dim: int, resolution: int, seed: int = GRID_SEED) -> HiddenStateGrid:
@@ -236,7 +237,7 @@ def _lp_system(phen: Phenomenon, grid: HiddenStateGrid) -> tuple[np.ndarray, np.
     outcomes = _strategy_block(counts, np.arange(n_strategies))
     q_tables = _bob_probability_table(grid, phen.strategy.bob)
     n_rows = sum(t.probs.size for t in phen.tables) + 1
-    a_mat = np.empty((n_rows, n_strategies * len(grid.states)))
+    a_mat = np.empty((n_rows, n_strategies * len(grid.matrices)))
     b_vec = np.empty(n_rows)
     row = 0
     for (a_idx, b_idx), table in zip(phen.strategy.pairing, phen.tables):
@@ -297,7 +298,7 @@ def lhs_feasible(phen: Phenomenon, grid: HiddenStateGrid) -> GridFeasible | Grid
         raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
     violation = float(res.fun)
     if violation <= SLACK_BAND * n_rows:
-        weights = res.x[:n_cols].reshape(n_strategies, len(grid.states))
+        weights = res.x[:n_cols].reshape(n_strategies, len(grid.matrices))
         return GridFeasible(weights=weights, residual=violation)
     dual = np.asarray(res.eqlin.marginals, dtype=float)
     if dual @ b_vec < 0:
@@ -345,7 +346,7 @@ def _dual_columns(phen: Phenomenon, grid: HiddenStateGrid, y: np.ndarray) -> np.
     counts = [m.n_outcomes for m in phen.strategy.alice]
     outcomes = _strategy_block(counts, np.arange(_strategy_count(counts)))
     q_tables = _bob_probability_table(grid, phen.strategy.bob)
-    columns = np.full((len(outcomes[0]), len(grid.states)), y[-1])
+    columns = np.full((len(outcomes[0]), len(grid.matrices)), y[-1])
     for (a_idx, b_idx), y_block in zip(phen.strategy.pairing, _dual_blocks(phen, y)):
         columns += (y_block @ q_tables[b_idx])[outcomes[a_idx]]
     return columns
@@ -533,13 +534,13 @@ def certify_steering(phen: Phenomenon, functional: SteeringFunctional) -> Steeri
     counts = [m.n_outcomes for m in phen.strategy.alice]
     n_strategies = _strategy_count(counts)
     dim = bob[0].dim
-    # Per pairing entry, the stack over Alice outcomes of Bob operators Σ_B f[A,B]·F_B.
+    # Per pairing entry, the stack over Alice outcomes of Bob operators Σ_B f[A,B]·F_B,
+    # summed from zeros in Bob-outcome order for all Alice outcomes at once.
     partial_ops: list[np.ndarray] = []
     for (a_idx, b_idx), block in zip(phen.strategy.pairing, functional.coeffs):
         ops_for_entry = np.zeros((block.shape[0], dim, dim), dtype=complex)
-        for a_out in range(block.shape[0]):
-            for b_out, effect in enumerate(bob[b_idx].effects):
-                ops_for_entry[a_out] += block[a_out, b_out] * effect
+        for b_out, effect in enumerate(bob[b_idx].effects):
+            ops_for_entry += block[:, b_out, None, None] * effect
         partial_ops.append(ops_for_entry)
     if dim == 2 and n_strategies >= ARRANGEMENT_MIN_STRATEGIES:
         indices = _arrangement_candidates(phen.strategy.pairing, partial_ops, counts)
@@ -574,7 +575,7 @@ def reproduce_tables(phen: Phenomenon, grid: HiddenStateGrid, weights: np.ndarra
     """
     counts = [m.n_outcomes for m in phen.strategy.alice]
     n_strategies = _strategy_count(counts)
-    if weights.shape != (n_strategies, len(grid.states)):
+    if weights.shape != (n_strategies, len(grid.matrices)):
         raise ValueError(f"weights shape {weights.shape} does not match strategies x grid")
     outcomes = _strategy_block(counts, np.arange(n_strategies))
     q_tables = _bob_probability_table(grid, phen.strategy.bob)
@@ -594,7 +595,11 @@ def feasibility_flip(
     hi: float = 1.0,
     tol: float = 1e-3,
 ) -> float:
-    """Bisect the parameter where grid feasibility flips to infeasibility."""
+    """Bisect the parameter where grid feasibility flips to infeasibility.
+
+    The bracket shrinks to `tol`, or to two adjacent floats if `tol` is
+    below their spacing.
+    """
     def is_feasible(x: float) -> bool:
         return lhs_feasible(phenomenon_at(x), grid).feasible
 
@@ -604,6 +609,8 @@ def feasibility_flip(
         raise ValueError(f"expected infeasibility at the upper bracket {hi}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
+            break
         if is_feasible(mid):
             lo = mid
         else:

@@ -1,17 +1,20 @@
 """Reference implementations that the library must reproduce exactly.
 
 Compact copies of the oracle's original scalar loops (exact bound, LP system,
-grids), which the array code in `steerkit.oracle` must match bit for bit; of
-the blocked strategy enumeration that `certify_steering` ran for every Bob
-before the plane arrangement, which the arrangement must match bit for bit,
-and of the Bob tables from a grid stacked on every call; of
-the original Born rule (one np.kron and trace per effect pair), which
-`measure_joint` and `tensor_product` must match bit for bit; of the
-criteria's original if-chain dispatch, which the `CATALOG` evaluators must
-match result for result; and of two removed duplicates: the gain-based Reid
-product, which `eval_collective(..., "product-cv", "fixed")` must match bit
-for bit, and the per-row minimum inference variance, which
-`min_inference_variance` must match within PROB_FLOOR·max b².
+grids built as tuples of per-state DensityMatrix objects), which the array
+code in `steerkit.oracle` must match bit for bit; of the blocked strategy
+enumeration that `certify_steering` ran for every Bob before the plane
+arrangement, which the arrangement must match bit for bit, and of the Bob
+tables from a tuple grid stacked on every call; of the original Born rule
+(one np.kron and trace per effect pair), which `measure_joint` and
+`tensor_product` must match bit for bit; of the criteria's original if-chain
+dispatch, which the `CATALOG` evaluators must match result for result; and
+of removed duplicates and options: the gain-based Reid product, which
+`eval_collective(..., "product-cv", "fixed")` must match bit for bit; the
+per-row minimum inference variance, which `inference_variance` must match
+within PROB_FLOOR·max b²; and the linear and table estimators, whose
+variances no estimate may bring below `inference_variance` and whose linear
+form is `collective_variance`.
 """
 
 from __future__ import annotations
@@ -38,19 +41,18 @@ from steerkit.criteria import (
 )
 from steerkit.gaussian import P_A, P_B, X_A, X_B, GaussianState, linear_combination_variance
 from steerkit.measurements import PROB_FLOOR, JointDistribution, _conditional_means
-from steerkit.oracle import HiddenStateGrid
 
 
 def lp_system(phen, grid, bob):
     strategies = list(itertools.product(*(range(m.n_outcomes) for m in phen.strategy.alice)))
     q_tables = []
     for meas in bob:
-        q = np.empty((meas.n_outcomes, len(grid.states)))
+        q = np.empty((meas.n_outcomes, len(grid.matrices)))
         for b_out, effect in enumerate(meas.effects):
-            for l, rho in enumerate(grid.states):
-                q[b_out, l] = np.real(np.trace(effect @ rho.matrix))
+            for l, rho in enumerate(grid.matrices):
+                q[b_out, l] = np.real(np.trace(effect @ rho))
         q_tables.append(q)
-    n_states = len(grid.states)
+    n_states = len(grid.matrices)
     n_rows = sum(t.probs.size for t in phen.tables) + 1
     a_mat = np.zeros((n_rows, len(strategies) * n_states))
     b_vec = np.zeros(n_rows)
@@ -68,9 +70,9 @@ def lp_system(phen, grid, bob):
     return a_mat, b_vec, strategies
 
 
-def bob_probability_table(grid, bob):
-    """Q[b][B, l] = Tr[F_B^b ρ_l] from a grid stacked anew on every call."""
-    rhos = np.array([rho.matrix for rho in grid.states])
+def bob_probability_table(states, bob):
+    """Q[b][B, l] = Tr[F_B^b ρ_l] from a tuple grid stacked anew on every call."""
+    rhos = np.array([rho.matrix for rho in states])
     return [np.real(np.trace(np.array(m.effects)[:, None] @ rhos[None], axis1=-2, axis2=-1)) for m in bob]
 
 
@@ -128,7 +130,7 @@ def exact_bound_blocks(phen, functional, block=4096):
 
 
 def qubit_grid(resolution):
-    """Golden-spiral Bloch states built one DensityMatrix at a time, plus I/2."""
+    """Golden-spiral Bloch states built one DensityMatrix at a time, plus I/2, as a tuple."""
     spin = spin_operators(0.5)
     paulis = (2 * spin.jx, 2 * spin.jy, 2 * spin.jz)
     eye = np.eye(2, dtype=complex)
@@ -142,11 +144,11 @@ def qubit_grid(resolution):
         bloch = sum(c * s for c, s in zip(direction, paulis))
         states.append(DensityMatrix(0.5 * (eye + bloch)))
     states.append(DensityMatrix(eye / 2))
-    return HiddenStateGrid(states=tuple(states), resolution=resolution)
+    return tuple(states)
 
 
 def random_pure_grid(dim, resolution, seed):
-    """Seeded pure states drawn and normalized one at a time, plus I/d."""
+    """Seeded pure states drawn and normalized one at a time, plus I/d, as a tuple."""
     rng = np.random.default_rng(seed)
     states = []
     for _ in range(resolution):
@@ -154,7 +156,12 @@ def random_pure_grid(dim, resolution, seed):
         psi /= np.linalg.norm(psi)
         states.append(DensityMatrix(np.outer(psi, psi.conj())))
     states.append(DensityMatrix(np.eye(dim, dtype=complex) / dim))
-    return HiddenStateGrid(states=tuple(states), resolution=resolution)
+    return tuple(states)
+
+
+def stacked(states):
+    """The (n, d, d) array of a tuple grid, as the tuple-grid class stacked it."""
+    return np.array([rho.matrix for rho in states])
 
 
 def kron(a, b):
@@ -194,6 +201,23 @@ def min_inference_variance(joint):
             cond = joint.probs[i] / w
             total += w * float(cond @ (b - means[i]) ** 2)
     return total
+
+
+def estimator_variance(joint, estimates):
+    """<(B - estimate(A))²> for one estimate per Alice outcome: the removed table estimator."""
+    if len(estimates) != len(joint.a_values):
+        raise ValueError(f"estimator table has {len(estimates)} entries for {len(joint.a_values)} Alice outcomes")
+    b = np.asarray(joint.b_values)
+    err_sq = (b[None, :] - np.asarray(estimates, dtype=float)[:, None]) ** 2
+    return float(np.sum(joint.probs * err_sq))
+
+
+def linear_estimates(joint, gain):
+    """The removed linear(gain) estimator: -gain·A + <B + gain·A>, per Alice outcome."""
+    a = np.asarray(joint.a_values)
+    g = float(gain)
+    mean_b_plus_ga = joint.mean_b() + g * float(joint.marginal_a() @ a)
+    return -g * a + mean_b_plus_ga
 
 
 def _cv_collective_terms():

@@ -29,9 +29,9 @@ from steerkit.gaussian import (
 )
 from steerkit.measurements import (
     assemblage_from_state,
+    inference_variance,
     inferred_abs_mean,
     measure_joint,
-    min_inference_variance,
     observable_to_measurement,
 )
 from steerkit.measurements import all_pairs_strategy
@@ -98,7 +98,7 @@ def test_criterion_2_werner_intermediates_from_born_statistics():
         for mu in (0.3, 0.62, 0.8, 1.0):
             state = werner_state(mu)
             joint = measure_joint(state, JZ, JZ)
-            assert abs(min_inference_variance(joint) - (1 - mu**2) / 4) < 1e-10
+            assert abs(inference_variance(joint) - (1 - mu**2) / 4) < 1e-10
             assert abs(inferred_abs_mean(joint) - mu / 2) < 1e-10
             for axis in "xyz":
                 op = SPIN.component(axis)

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from steerkit import families
 from steerkit.cli import main, read_measurement_file, write_measurement_file
 from steerkit.measurements import observable_to_measurement
 from steerkit.oracle import mub_qubit_measurements
+from util import cap_calls
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +147,10 @@ class TestSweep:
         assert code == 2
 
 
+_BOUNDARY_MU = ("boundary", "--criterion", "linear-3", "--family", "werner", "--param", "mu")
+_GAUSSIAN_NBAR = ("--family", "symmetric-gaussian", "--nbar")
+
+
 class TestBoundary:
     def test_sum_three_spin_threshold(self, capsys):
         code, out, _ = run_cli(
@@ -164,6 +170,45 @@ class TestBoundary:
         )
         assert code == 1
         assert "verdict" in err
+
+    @pytest.mark.parametrize("bracket", ["0.7:0.5", "0.5:0.5"])
+    def test_unordered_bracket_exits_2(self, capsys, bracket):
+        code, out, err = run_cli(capsys, *_BOUNDARY_MU, "--bracket", bracket)
+        assert (code, out) == (2, "")
+        assert err == f"steerkit: error: bracket lo must be below hi, got '{bracket}'\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((*_BOUNDARY_MU, "--bracket", "0.5:1.5"), "bracket 0.5:1.5 outside range [0, 1] of parameter 'mu'"),
+            ((*_BOUNDARY_MU, "--bracket=-0.5:0.7"), "bracket -0.5:0.7 outside range [0, 1] of parameter 'mu'"),
+            (
+                ("boundary", "--criterion", "reid-cv", *_GAUSSIAN_NBAR, "1", "--param", "mu", "--bracket", "0.1:2"),
+                "bracket 0.1:2 outside range [0, 1] of parameter 'mu'",
+            ),
+        ],
+        ids=["werner-above", "werner-below", "gaussian-mu"],
+    )
+    def test_bracket_outside_family_range_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"steerkit: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (*_BOUNDARY_MU, "--tol", "1e-20"),
+            ("boundary", "--criterion", "reid-cv", *_GAUSSIAN_NBAR, "1", "--param", "mu", "--tol", "1e-300"),
+        ],
+        ids=["linear-3", "reid-cv"],
+    )
+    def test_tol_below_float_spacing_stops_at_adjacent_floats(self, capsys, monkeypatch, argv):
+        calls = cap_calls(monkeypatch, families, "evaluate", 200)
+        code, out, _ = run_cli(capsys, *argv)
+        record = json.loads(out)
+        assert code == 0
+        assert np.nextafter(record["bracket_lo"], np.inf) == record["bracket_hi"]
+        assert record["threshold"] in (record["bracket_lo"], record["bracket_hi"])
+        assert record["evaluations"] == calls[0]
 
     def test_gain_mode_changes_collective_boundary(self, capsys):
         # Fixed gains flip at the collective bound; optimized gains reduce to
@@ -339,10 +384,6 @@ class TestMeasurementFile:
         assert code == 2
         assert out == ""
         assert "measurements.txt" in err and "dimension 3" in err and "'werner'" in err
-
-
-_BOUNDARY_MU = ("boundary", "--criterion", "linear-3", "--family", "werner", "--param", "mu")
-_GAUSSIAN_NBAR = ("--family", "symmetric-gaussian", "--nbar")
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from steerkit.core import (
     BipartiteState,
     DensityMatrix,
     bipartite_from_matrix,
+    check_density_matrices,
     expectation,
     hermitian_eigensystem,
     partial_trace,
@@ -171,16 +172,6 @@ class TestDensityMatrixStack:
         "non-finite": np.array([[np.nan, 0], [0, 0.5]], dtype=complex),
     }
 
-    def test_valid_stack_wraps_read_only_slices(self, rng):
-        mats = np.array([random_density_matrix(rng, 3).matrix for _ in range(5)])
-        states = DensityMatrix.stack(mats)
-        assert len(states) == 5
-        for state, m in zip(states, mats):
-            assert isinstance(state, DensityMatrix)
-            assert state.dim == 3
-            assert np.array_equal(state.matrix, m)
-            assert not state.matrix.flags.writeable
-
     @pytest.mark.parametrize("kind", sorted(BAD))
     def test_bad_matrix_mid_stack_raises_single_message(self, rng, kind):
         bad = self.BAD[kind]
@@ -189,14 +180,8 @@ class TestDensityMatrixStack:
         mats = np.array([random_density_matrix(rng, 2).matrix for _ in range(7)])
         mats[3] = bad
         with pytest.raises(ValueError) as stacked:
-            DensityMatrix.stack(mats)
+            check_density_matrices(mats)
         assert str(stacked.value) == str(single.value)
-
-    def test_rejects_non_stack_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            DensityMatrix.stack(np.eye(2, dtype=complex) / 2)
-        with pytest.raises(ValueError, match="shape"):
-            DensityMatrix.stack(np.ones((2, 2, 3), dtype=complex))
 
 
 class TestUncertaintyBounds:

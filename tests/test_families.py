@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from steerkit import families
 from steerkit.core import expectation, spin_operators, tensor_product
+from steerkit.criteria import evaluate
 from steerkit.families import (
     FAMILIES,
     boundary_bisect,
@@ -17,6 +19,7 @@ from steerkit.gaussian import (
     boundary_entanglement_mu,
     boundary_reid_steering_mu,
 )
+from util import cap_calls
 
 SPIN = spin_operators(0.5)
 
@@ -131,10 +134,28 @@ class TestBoundaryBisect:
         with pytest.raises(ValueError, match="bracket"):
             boundary_bisect("reid-cv", "symmetric-gaussian", "nbar", fixed={"mu": 0.9})
 
+    @pytest.mark.parametrize("tol", [1e-20, 1e-300, 0.0])
+    @pytest.mark.parametrize(
+        "criterion_id,family_id,fixed",
+        [("linear-3", "werner", {}), ("reid-cv", "symmetric-gaussian", {"nbar": 1.0})],
+    )
+    def test_tol_below_float_spacing_stops_at_adjacent_floats(
+        self, monkeypatch, criterion_id, family_id, fixed, tol
+    ):
+        calls = cap_calls(monkeypatch, families, "evaluate", 200)
+        result = boundary_bisect(criterion_id, family_id, "mu", tol=tol, fixed=fixed)
+        lo, hi = result.bracket
+        assert np.nextafter(lo, np.inf) == hi
+        assert result.threshold in (lo, hi)
+        assert result.tolerance == hi - lo
+        assert result.evaluations == calls[0]
+        state = {**fixed, "mu": lo}
+        assert not evaluate(criterion_id, make_state(family_id, **state)).violated
+        state["mu"] = hi
+        assert evaluate(criterion_id, make_state(family_id, **state)).violated
+
     def test_bisect_threshold_flips_verdict(self):
         result = boundary_bisect("linear-3", "werner", "mu", tol=1e-6)
-        from steerkit.criteria import evaluate
-
         below = evaluate("linear-3", werner_state(result.threshold - 1e-5))
         above = evaluate("linear-3", werner_state(result.threshold + 1e-5))
         assert not below.violated and above.violated

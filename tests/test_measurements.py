@@ -8,18 +8,16 @@ from steerkit.core import bipartite_from_matrix, spin_operators, tensor_product,
 from steerkit.families import singlet_state, werner_state
 from steerkit.measurements import (
     Assemblage,
-    Estimator,
     JointDistribution,
     Measurement,
     MeasurementStrategy,
     PROB_FLOOR,
+    _conditional_means,
     assemblage_from_state,
     collective_variance,
-    conditional_distribution,
     inference_variance,
     inferred_abs_mean,
     measure_joint,
-    min_inference_variance,
     observable_to_measurement,
 )
 from util import random_density_matrix, random_two_qubit_state
@@ -136,31 +134,37 @@ class TestMeasureJoint:
         joint = measure_joint(state, JZ_MEAS, trine_povm())
         assert joint.probs.shape == (2, 3)
         assert abs(joint.probs.sum() - 1) < 1e-10
-        assert min_inference_variance(joint) <= inference_variance(joint, Estimator.from_table((1.0, 1.0))) + 1e-12
+        assert inference_variance(joint) <= loop_reference.estimator_variance(joint, (1.0, 1.0)) + 1e-12
 
 
 class TestConditionalDistribution:
+    """Conditioning on Alice's outcome: the weights P(A) and the means of P(B|A)."""
+
     def test_singlet_conditioning(self):
         joint = measure_joint(singlet_state(), JZ_MEAS, JZ_MEAS)
-        probs, weight = conditional_distribution(joint, 0)
-        assert weight == pytest.approx(0.5)
-        assert probs[1] == pytest.approx(1.0)
+        weights, means = _conditional_means(joint)
+        assert weights[0] == pytest.approx(0.5)
+        # Alice's +1/2 leaves Bob at -1/2 with certainty.
+        assert means[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_uniform_independence(self):
         joint = JointDistribution((0.5, -0.5), (0.5, -0.5), np.full((2, 2), 0.25))
-        probs, weight = conditional_distribution(joint, 1)
-        assert np.allclose(probs, [0.5, 0.5])
-        assert weight == pytest.approx(0.5)
+        weights, means = _conditional_means(joint)
+        assert np.allclose(means, [0.0, 0.0])
+        assert weights[1] == pytest.approx(0.5)
 
     def test_werner_08(self):
         joint = measure_joint(werner_state(0.8), JZ_MEAS, JZ_MEAS)
-        probs, _ = conditional_distribution(joint, 0)
-        assert probs[1] == pytest.approx(0.9, abs=1e-12)
+        _, means = _conditional_means(joint)
+        # P(B = -1/2 | A = +1/2) = 0.9, so the mean is 0.1·(1/2) - 0.9·(1/2).
+        assert means[0] == pytest.approx(-0.4, abs=1e-12)
 
-    def test_zero_probability_outcome_raises(self):
-        joint = JointDistribution((0.5, -0.5), (0.5, -0.5), np.array([[0.5, 0.5], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            conditional_distribution(joint, 1)
+    def test_zero_probability_outcome_gets_mean_zero(self):
+        joint = JointDistribution((0.5, -0.5), (1.0, -0.5), np.array([[0.5, 0.5], [0.0, 0.0]]))
+        weights, means = _conditional_means(joint)
+        assert weights[1] == 0.0 and means[1] == 0.0
+        # The empty row adds nothing to the inference variance.
+        assert inference_variance(joint) == pytest.approx(0.5625, abs=1e-15)
 
 
 class TestInferenceQuantities:
@@ -172,21 +176,19 @@ class TestInferenceQuantities:
     def test_werner_formula(self, mu):
         joint = measure_joint(werner_state(mu), JZ_MEAS, JZ_MEAS)
         assert inference_variance(joint) == pytest.approx((1 - mu**2) / 4, abs=1e-12)
-        assert min_inference_variance(joint) == pytest.approx((1 - mu**2) / 4, abs=1e-12)
 
     def test_constant_estimator_reduces_to_unconditional_variance(self, rng):
         state = random_two_qubit_state(rng)
         joint = measure_joint(state, JZ_MEAS, JX_MEAS)
         mean_b = joint.mean_b()
-        est = Estimator.from_table((mean_b, mean_b))
         b = np.asarray(joint.b_values)
         unconditional = float(joint.marginal_b() @ (b - mean_b) ** 2)
-        assert inference_variance(joint, est) == pytest.approx(unconditional, abs=1e-12)
+        assert loop_reference.estimator_variance(joint, (mean_b, mean_b)) == pytest.approx(unconditional, abs=1e-12)
 
     def test_maximally_mixed_product(self):
         state = bipartite_from_matrix(np.eye(4) / 4, 2, 2)
         joint = measure_joint(state, JZ_MEAS, JZ_MEAS)
-        assert min_inference_variance(joint) == pytest.approx(0.25, abs=1e-12)
+        assert inference_variance(joint) == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("mu", [0.3, 0.8, 1.0])
     def test_inferred_abs_mean_werner(self, mu):
@@ -202,15 +204,14 @@ class TestInferenceQuantities:
     def test_estimator_never_beats_optimum(self, joint, data):
         n_a = len(joint.a_values)
         table = data.draw(st.lists(st.floats(-3, 3), min_size=n_a, max_size=n_a))
-        est = Estimator.from_table(tuple(table))
-        assert inference_variance(joint, est) >= min_inference_variance(joint) - 1e-12
+        assert loop_reference.estimator_variance(joint, table) >= inference_variance(joint) - 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(joint=joint_distributions())
     def test_min_inference_variance_matches_row_loop(self, joint):
         b_max_sq = max(b * b for b in joint.b_values)
         reference = loop_reference.min_inference_variance(joint)
-        assert abs(min_inference_variance(joint) - reference) <= PROB_FLOOR * b_max_sq
+        assert abs(inference_variance(joint) - reference) <= PROB_FLOOR * b_max_sq
 
     @pytest.mark.parametrize("weight", [0.0, 0.4 * PROB_FLOOR])
     def test_min_inference_variance_on_negligible_alice_row(self, weight):
@@ -219,7 +220,7 @@ class TestInferenceQuantities:
         probs = np.array([[0.3, 0.2, 0.1], [0.0, 0.0, weight], [0.1, 0.1, 0.2 - weight]])
         joint = JointDistribution((1.0, 0.0, -1.0), (2.0, 0.5, -1.5), probs)
         reference = loop_reference.min_inference_variance(joint)
-        assert abs(min_inference_variance(joint) - reference) <= PROB_FLOOR * 4.0
+        assert abs(inference_variance(joint) - reference) <= PROB_FLOOR * 4.0
 
     @settings(max_examples=60, deadline=None)
     @given(joint=joint_distributions())
@@ -234,18 +235,28 @@ class TestInferenceQuantities:
         b = np.asarray(joint.b_values)
         marginal = joint.marginal_b()
         unconditional = float(marginal @ (b - float(marginal @ b)) ** 2)
-        assert unconditional >= min_inference_variance(joint) - 1e-12
+        assert unconditional >= inference_variance(joint) - 1e-12
 
 
 class TestLinearEstimator:
+    """The removed linear(gain) estimator, from loop_reference, is Var(gain·A + B)."""
+
     def test_matches_collective_variance(self, rng):
         for _ in range(25):
             state = random_two_qubit_state(rng)
             gain = float(rng.uniform(-2, 2))
             joint = measure_joint(state, JZ_MEAS, JX_MEAS)
             collective = collective_variance(state, SPIN.jz, SPIN.jx, gain)
-            inferred = inference_variance(joint, Estimator.linear(gain))
+            inferred = loop_reference.estimator_variance(joint, loop_reference.linear_estimates(joint, gain))
             assert abs(collective - inferred) < 1e-10
+            assert inferred >= inference_variance(joint) - 1e-12
+
+    @pytest.mark.parametrize("gain", [-1.0, 0.3, 2.5])
+    def test_werner_jx_pairs_within_1e15(self, gain):
+        state = werner_state(0.7)
+        joint = measure_joint(state, JX_MEAS, JX_MEAS)
+        linear = loop_reference.estimator_variance(joint, loop_reference.linear_estimates(joint, gain))
+        assert abs(linear - collective_variance(state, SPIN.jx, SPIN.jx, gain)) <= 1e-15
 
 
 class TestCollectiveVariance:

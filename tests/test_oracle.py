@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from steerkit import oracle
 from steerkit.core import bipartite_from_matrix, spin_operators, tensor_product
 from steerkit.families import werner_state
 from steerkit.measurements import JointDistribution, all_pairs_strategy, observable_to_measurement
@@ -23,7 +24,7 @@ from steerkit.oracle import (
     random_pure_grid,
     reproduce_tables,
 )
-from util import random_density_matrix
+from util import cap_calls, random_density_matrix
 
 MUB3 = mub_qubit_measurements(3)
 MUB2 = mub_qubit_measurements(2)
@@ -74,33 +75,51 @@ class TestGrids:
     def test_qubit_grid_contents(self):
         grid = qubit_grid(40)
         assert grid.resolution == 40
-        assert len(grid.states) == 41
-        assert np.allclose(grid.states[-1].matrix, np.eye(2) / 2)
-        for state in grid.states[:-1]:
-            # pure states: rho^2 = rho
-            assert np.max(np.abs(state.matrix @ state.matrix - state.matrix)) < 1e-12
+        assert grid.matrices.shape == (41, 2, 2)
+        assert np.allclose(grid.matrices[-1], np.eye(2) / 2)
+        # pure states: rho^2 = rho
+        pure = grid.matrices[:-1]
+        assert np.max(np.abs(pure @ pure - pure)) < 1e-12
 
     def test_qubit_grid_deterministic(self):
-        a, b = qubit_grid(25), qubit_grid(25)
-        for s1, s2 in zip(a.states, b.states):
-            assert np.array_equal(s1.matrix, s2.matrix)
+        assert np.array_equal(qubit_grid(25).matrices, qubit_grid(25).matrices)
 
     def test_random_pure_grid_seeded(self):
-        a = random_pure_grid(3, 10)
-        b = random_pure_grid(3, 10)
-        for s1, s2 in zip(a.states, b.states):
-            assert np.array_equal(s1.matrix, s2.matrix)
+        assert np.array_equal(random_pure_grid(3, 10).matrices, random_pure_grid(3, 10).matrices)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             qubit_grid(0)
-        with pytest.raises(ValueError):
-            HiddenStateGrid(states=(), resolution=0)
+        with pytest.raises(ValueError, match="empty"):
+            HiddenStateGrid(matrices=np.empty((0, 2, 2), dtype=complex), resolution=0)
 
     def test_mixed_dimensions_rejected(self):
-        states = qubit_grid(2).states + random_pure_grid(3, 2).states
-        with pytest.raises(ValueError, match=r"dimensions \[2, 3\]"):
-            HiddenStateGrid(states=states, resolution=4)
+        # One array cannot hold states of two dimensions.
+        matrices = [*qubit_grid(2).matrices, *random_pure_grid(3, 2).matrices]
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            HiddenStateGrid(matrices=matrices, resolution=4)
+
+    def test_valid_stack_is_one_read_only_array(self, rng):
+        mats = np.array([random_density_matrix(rng, 3).matrix for _ in range(5)])
+        grid = HiddenStateGrid(matrices=mats, resolution=4)
+        assert grid.dim == 3
+        assert np.array_equal(grid.matrices, mats)
+        assert not grid.matrices.flags.writeable
+        # The grid holds its own copy; the caller's array stays writeable.
+        assert mats.flags.writeable
+
+    def test_bad_state_mid_grid_rejected(self, rng):
+        bad = np.diag([1.5, -0.5]).astype(complex)
+        mats = np.array([random_density_matrix(rng, 2).matrix for _ in range(7)])
+        mats[3] = bad
+        with pytest.raises(ValueError, match="eigenvalue below -1e-9"):
+            HiddenStateGrid(matrices=mats, resolution=6)
+
+    def test_rejects_non_stack_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            HiddenStateGrid(matrices=np.eye(2, dtype=complex) / 2, resolution=1)
+        with pytest.raises(ValueError, match="shape"):
+            HiddenStateGrid(matrices=np.ones((2, 2, 3), dtype=complex), resolution=2)
 
 
 class TestFeasibility:
@@ -129,7 +148,7 @@ class TestFeasibility:
         jz = observable_to_measurement(np.diag([0.5, -0.5]).astype(complex), "Jz")
         strategy = all_pairs_strategy([jz], [jz])
         phen = phenomenon_from_state(state, strategy)
-        grid = HiddenStateGrid(states=(rho_b,), resolution=1)
+        grid = HiddenStateGrid(matrices=rho_b.matrix[None], resolution=1)
         outcome = lhs_feasible(phen, grid)
         assert isinstance(outcome, GridFeasible)
         assert np.sum(outcome.weights > 1e-7) == 1
@@ -137,7 +156,7 @@ class TestFeasibility:
     def test_refinement_keeps_feasible(self):
         # A model over a subgrid is a model over the fuller grid.
         full = qubit_grid(200)
-        sub = HiddenStateGrid(states=full.states[::4], resolution=len(full.states[::4]))
+        sub = HiddenStateGrid(matrices=full.matrices[::4], resolution=len(full.matrices[::4]))
         for mu in (0.4, 0.5):
             phen = werner_phenomenon(mu)
             if lhs_feasible(phen, sub).feasible:
@@ -259,6 +278,16 @@ class TestFeasibilityFlip:
         grid = qubit_grid(50)
         with pytest.raises(ValueError):
             feasibility_flip(lambda mu: werner_phenomenon(mu, STRATEGY2), grid, lo=0.9, hi=1.0)
+
+    def test_tol_below_float_spacing_stops_at_adjacent_floats(self, monkeypatch):
+        grid = qubit_grid(20)
+        cap_calls(monkeypatch, oracle, "lhs_feasible", 200)
+        flip = feasibility_flip(lambda mu: werner_phenomenon(mu, STRATEGY2), grid, tol=1e-20)
+        below, above = flip, np.nextafter(flip, np.inf)
+        if not lhs_feasible(werner_phenomenon(below, STRATEGY2), grid).feasible:
+            below, above = np.nextafter(flip, -np.inf), flip
+        assert lhs_feasible(werner_phenomenon(below, STRATEGY2), grid).feasible
+        assert not lhs_feasible(werner_phenomenon(above, STRATEGY2), grid).feasible
 
     def test_mub2_flip_near_expected(self):
         grid = qubit_grid(200)

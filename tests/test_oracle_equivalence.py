@@ -418,25 +418,21 @@ class TestLpSystem:
         assert_same_system(phen, random_pure_grid(3, 120))
 
 
-def grid_bytes(grid):
-    return np.array([rho.matrix for rho in grid.states]).tobytes()
-
-
 class TestGrids:
     @pytest.mark.parametrize("resolution", [1, 50, 200, 800])
     def test_qubit_grid(self, resolution):
         grid = qubit_grid(resolution)
-        assert grid_bytes(grid) == grid_bytes(loop_reference.qubit_grid(resolution))
+        assert grid.matrices.tobytes() == loop_reference.stacked(loop_reference.qubit_grid(resolution)).tobytes()
         assert grid.resolution == resolution
 
     @pytest.mark.parametrize("resolution", [50, 800])
     def test_bob_tables_read_the_stacked_grid(self, resolution):
         grid = qubit_grid(resolution)
-        assert grid.matrices.tobytes() == grid_bytes(grid)
         assert not grid.matrices.flags.writeable
         bob = mub_qubit_measurements(3)
         tables = oracle._bob_probability_table(grid, bob)
-        for table, ref in zip(tables, loop_reference.bob_probability_table(grid, bob), strict=True):
+        reference = loop_reference.bob_probability_table(loop_reference.qubit_grid(resolution), bob)
+        for table, ref in zip(tables, reference, strict=True):
             assert table.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("seed", [oracle.GRID_SEED, 7])
@@ -444,13 +440,14 @@ class TestGrids:
     @pytest.mark.parametrize("dim", [3, 4, 9])
     def test_random_pure_grid(self, dim, resolution, seed):
         grid = random_pure_grid(dim, resolution, seed)
-        assert grid_bytes(grid) == grid_bytes(loop_reference.random_pure_grid(dim, resolution, seed))
+        reference = loop_reference.random_pure_grid(dim, resolution, seed)
+        assert grid.matrices.tobytes() == loop_reference.stacked(reference).tobytes()
 
 
 def assert_dual_columns_match(phen, grid, y):
     a_mat = oracle._lp_system(phen, grid)[0]
     columns = oracle._dual_columns(phen, grid, y)
-    assert columns.shape == (a_mat.shape[1] // len(grid.states), len(grid.states))
+    assert columns.shape == (a_mat.shape[1] // len(grid.matrices), len(grid.matrices))
     assert np.max(np.abs(columns.ravel() - y @ a_mat)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
 

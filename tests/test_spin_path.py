@@ -10,10 +10,9 @@ import pytest
 
 import loop_reference
 from steerkit.core import bipartite_from_matrix, spin_operators, tensor_product
-from steerkit.criteria import _spin_measurements, default_spin_plan, spin_triple_plan
+from steerkit.criteria import default_spin_plan, spin_triple_plan
 from steerkit.families import singlet_state, werner_state
 from steerkit.measurements import (
-    Estimator,
     Measurement,
     all_pairs_strategy,
     measure_joint,
@@ -137,15 +136,3 @@ class TestCachedSpinObjects:
     def test_singlet_shared_and_frozen(self):
         assert singlet_state().matrix is singlet_state().matrix
         assert_read_only(singlet_state().matrix)
-
-    def test_linear_estimator_plan_keeps_its_estimator(self):
-        spin_triple_plan(0.5)
-        size = _spin_measurements.cache_info().currsize
-        default = spin_triple_plan(0.5)
-        for gain in (0.25, 0.5, 0.75, 1.0):
-            plan = spin_triple_plan(0.5, estimator=Estimator.linear(gain))
-            for pair, default_pair in zip(plan.pairs, default.pairs):
-                assert pair.estimator == Estimator.linear(gain)
-                assert pair.bob is default_pair.bob
-        assert all(pair.estimator == Estimator.conditional_mean() for pair in default.pairs)
-        assert _spin_measurements.cache_info().currsize == size

@@ -106,3 +106,21 @@ def implication_trial(rng: np.random.Generator) -> tuple[BipartiteState, Inferen
         ops.jz,
     ]
     return state, _triad_plan(triad)
+
+
+def cap_calls(monkeypatch, module, name: str, cap: int) -> list[int]:
+    """Patch module.name to fail on call cap + 1, so a bisection that never stops fails instead of hanging.
+
+    Returns a one-element list holding the number of calls so far.
+    """
+    original = getattr(module, name)
+    calls = [0]
+
+    def capped(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] > cap:
+            raise AssertionError(f"{name} called more than {cap} times")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, capped)
+    return calls
