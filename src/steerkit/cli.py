@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -405,7 +406,12 @@ def cmd_figure_cv_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per interpreter and shared, so callers must not modify it.
+
+    Each `parse_args` call returns a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="steerkit",
         description="Evaluate steering criteria, sweep state families, and run the hidden-state oracle.",

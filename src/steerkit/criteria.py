@@ -42,6 +42,8 @@ VIOLATED_IF_BELOW = "below"
 VIOLATED_IF_ABOVE = "above"
 
 COMMUTATION_TOL = 1e-9
+# Index triples (i, k, l) of [b_i, b_k] = i·b_l, the first alone unless cyclic.
+_CYCLIC_TRIPLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 CONVEXITY_TOL = 1e-12
 CONVEXITY_GRID = 21
 
@@ -99,10 +101,27 @@ class InferencePlan:
     """Measurement choices for each inferred Bob observable.
 
     Alice's choices are free parameters of every inference criterion; a plan
-    pins them down explicitly.
+    pins them down explicitly. Bob's observables and their commutation
+    residues are computed on first use and kept, so the evaluations that
+    share a plan compute them once; the checks against COMMUTATION_TOL still
+    run on every evaluation.
     """
 
     pairs: tuple[InferencePair, ...]
+
+    @functools.cached_property
+    def bob_operators(self) -> tuple[np.ndarray, ...]:
+        """Bob's observables Σ value·effect, one per pair."""
+        return tuple(operator_of(p.bob) for p in self.pairs)
+
+    @functools.cached_property
+    def commutation_residues(self) -> tuple[float, float, float]:
+        """max |[b_i, b_k] − i·b_l| for (i, k, l) = (1, 2, 3), (2, 3, 1), (3, 1, 2) of three pairs."""
+        b_ops = self.bob_operators
+        return tuple(
+            float(np.max(np.abs(b_ops[i] @ b_ops[k] - b_ops[k] @ b_ops[i] - 1j * b_ops[l])))
+            for i, k, l in _CYCLIC_TRIPLES
+        )
 
 
 @functools.lru_cache(maxsize=8)
@@ -115,8 +134,9 @@ def _spin_measurements(j: float, party: str) -> tuple[Measurement, Measurement, 
     return tuple(observable_to_measurement(ops.component(axis), f"J{axis}_{party}") for axis in "xyz")
 
 
+@functools.lru_cache(maxsize=8)
 def spin_triple_plan(j_alice: float, j_bob: float | None = None) -> InferencePlan:
-    """Plan measuring the same spin component (x, y, z) on both sides."""
+    """Plan measuring the same spin component (x, y, z) on both sides; built once per (j_alice, j_bob)."""
     j_bob = j_alice if j_bob is None else j_bob
     alice, bob = _spin_measurements(j_alice, "A"), _spin_measurements(j_bob, "B")
     return InferencePlan(pairs=tuple(InferencePair(a, b) for a, b in zip(alice, bob)))
@@ -126,13 +146,11 @@ def default_spin_plan(state: BipartiteState) -> InferencePlan:
     return spin_triple_plan((state.dim_a - 1) / 2, (state.dim_b - 1) / 2)
 
 
-def _check_commutation(b_ops: Sequence[np.ndarray], labels: Sequence[str], cyclic: bool) -> None:
+def _check_commutation(plan: InferencePlan, cyclic: bool) -> None:
     """Require [b1, b2] = i·b3 (and cyclic permutations when asked)."""
-    triples = [(0, 1, 2)]
-    if cyclic:
-        triples += [(1, 2, 0), (2, 0, 1)]
-    for i, k, l in triples:
-        residue = np.max(np.abs(b_ops[i] @ b_ops[k] - b_ops[k] @ b_ops[i] - 1j * b_ops[l]))
+    labels = [p.bob.label for p in plan.pairs]
+    triples = _CYCLIC_TRIPLES if cyclic else _CYCLIC_TRIPLES[:1]
+    for (i, k, l), residue in zip(triples, plan.commutation_residues):
         if residue > COMMUTATION_TOL:
             raise ValueError(
                 f"commutation check failed for ({labels[i]}, {labels[k]}, {labels[l]}): "
@@ -161,16 +179,14 @@ def _require_three_pairs(plan: InferencePlan, criterion_id: str) -> None:
 
 def _uncertainty_pair_terms(
     state: BipartiteState, plan: InferencePlan, criterion_id: str
-) -> tuple[list[np.ndarray], list[JointDistribution], float, float]:
+) -> tuple[tuple[np.ndarray, ...], list[JointDistribution], float, float]:
     """Shared prologue of the [b1, b2] = i·b3 criteria: Bob operators, joints, Var_inf(B1), Var_inf(B2)."""
     _require_three_pairs(plan, criterion_id)
-    b_ops = [operator_of(p.bob) for p in plan.pairs]
-    labels = [p.bob.label for p in plan.pairs]
-    _check_commutation(b_ops, labels, cyclic=False)
+    _check_commutation(plan, cyclic=False)
     joints = _plan_joints(state, plan)
     v1 = inference_variance(joints[0])
     v2 = inference_variance(joints[1])
-    return b_ops, joints, v1, v2
+    return plan.bob_operators, joints, v1, v2
 
 
 def eval_product_criterion(state: BipartiteState, plan: InferencePlan) -> CriterionResult:
@@ -225,12 +241,12 @@ def eval_additive_sum_three_spin(
     if dim_j != state.dim_b:
         raise ValueError(f"Bob dimension {state.dim_b} does not equal 2j+1 = {dim_j}")
     j_val = (state.dim_b - 1) / 2
-    b_ops = [operator_of(p.bob) for p in plan.pairs]
-    labels = [p.bob.label for p in plan.pairs]
-    _check_commutation(b_ops, labels, cyclic=True)
+    _check_commutation(plan, cyclic=True)
+    b_ops = plan.bob_operators
     casimir = b_ops[0] @ b_ops[0] + b_ops[1] @ b_ops[1] + b_ops[2] @ b_ops[2]
     if np.max(np.abs(casimir - j_val * (j_val + 1) * np.eye(state.dim_b))) > COMMUTATION_TOL:
-        raise ValueError(f"Bob observables ({', '.join(labels)}) are not a spin-{j_val} triple")
+        labels = ", ".join(p.bob.label for p in plan.pairs)
+        raise ValueError(f"Bob observables ({labels}) are not a spin-{j_val} triple")
     joints = _plan_joints(state, plan)
     variances = [inference_variance(jd) for jd in joints]
     details: dict[str, float | str] = {
@@ -395,13 +411,22 @@ def eval_collective(
     return _result(_COLLECTIVE_VARIANTS[variant], lhs, bound, VIOLATED_IF_BELOW, details)
 
 
+@functools.lru_cache(maxsize=8)
+def _spin_correlation_operators(j_a: float, j_b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J_i^A ⊗ J_i^B for i = x, y, z, built once per (j_a, j_b); read-only."""
+    ja, jb = spin_operators(j_a), spin_operators(j_b)
+    products = tuple(tensor_product(ja.component(axis), jb.component(axis)) for axis in "xyz")
+    for product in products:
+        product.setflags(write=False)
+    return products
+
+
 def _spin_correlation_sum(state: BipartiteState, axes: str) -> tuple[float, dict[str, float | str]]:
-    ja = spin_operators((state.dim_a - 1) / 2)
-    jb = spin_operators((state.dim_b - 1) / 2)
+    products = _spin_correlation_operators((state.dim_a - 1) / 2, (state.dim_b - 1) / 2)
     total = 0.0
     details: dict[str, float | str] = {}
     for axis in axes:
-        corr = expectation(tensor_product(ja.component(axis), jb.component(axis)), state.matrix)
+        corr = expectation(products["xyz".index(axis)], state.matrix)
         details[f"correlation_{axis}"] = corr
         total += corr
     return total, details

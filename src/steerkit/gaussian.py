@@ -15,6 +15,10 @@ import numpy as np
 
 from .core import ATOL_SPECTRAL, ATOL_STRUCTURAL
 
+# The physicality check allows an eigenvalue of cov + iΩ down to -max(1e-9,
+# SPECTRAL_RTOL·‖cov + iΩ‖₂): eigvalsh's roundoff is a few ε·‖cov + iΩ‖₂.
+SPECTRAL_RTOL = 16 * np.finfo(float).eps
+
 # Quadrature indices for two-mode states.
 X_A, P_A, X_B, P_B = 0, 1, 2, 3
 
@@ -49,7 +53,10 @@ class GaussianState:
         if np.max(np.abs(cov - cov.T)) > ATOL_STRUCTURAL:
             raise ValueError("covariance matrix is not symmetric within 1e-10")
         omega = symplectic_form(cov.shape[0] // 2)
-        if np.linalg.eigvalsh(cov + 1j * omega).min() < -ATOL_SPECTRAL:
+        # eigvalsh's roundoff grows with the norm: -1.3e-8 at nbar 1e7.
+        eigenvalues = np.linalg.eigvalsh(cov + 1j * omega)
+        tol = max(ATOL_SPECTRAL, SPECTRAL_RTOL * float(np.abs(eigenvalues).max()))
+        if eigenvalues.min() < -tol:
             raise ValueError("covariance matrix violates the uncertainty principle (cov + iΩ ⋡ 0)")
         cov.setflags(write=False)
         mean.setflags(write=False)

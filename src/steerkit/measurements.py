@@ -8,6 +8,7 @@ the raw quantities every criterion consumes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,13 @@ class Measurement:
     @property
     def n_outcomes(self) -> int:
         return len(self.values)
+
+    @functools.cached_property
+    def effect_stack(self) -> np.ndarray:
+        """The effects as one read-only (n_outcomes, d, d) array, stacked on first use."""
+        stack = np.stack(self.effects)
+        stack.setflags(write=False)
+        return stack
 
 
 def operator_of(measurement: Measurement) -> np.ndarray:
@@ -184,7 +192,7 @@ def measure_joint(state: BipartiteState, a: Measurement, b: Measurement) -> Join
     # Every E_A ⊗ F_B at once, as an (n_a, n_b, d, d) stack laid out like
     # tensor_product's blocks; one stacked matmul and trace then give the
     # same bits as a trace of W·(E_A ⊗ F_B) per pair.
-    ea, fb = np.stack(a.effects), np.stack(b.effects)
+    ea, fb = a.effect_stack, b.effect_stack
     d_a, d_b = state.dim_a, state.dim_b
     pairs = ea[:, None, :, None, :, None] * fb[None, :, None, :, None, :]
     pairs = pairs.reshape(a.n_outcomes, b.n_outcomes, d_a * d_b, d_a * d_b)

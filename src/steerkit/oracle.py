@@ -18,8 +18,9 @@ sphere leaves.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -141,6 +142,8 @@ class HiddenStateGrid:
 
     matrices: np.ndarray
     resolution: int
+    # (Bob measurements, their tables) of the last `bob_tables` call.
+    _last_bob_tables: tuple = field(default=((), ()), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrices, dtype=complex)
@@ -155,6 +158,21 @@ class HiddenStateGrid:
     @property
     def dim(self) -> int:
         return self.matrices.shape[1]
+
+    def bob_tables(self, bob: Sequence[Measurement]) -> tuple[np.ndarray, ...]:
+        """`_bob_probability_table` of these Bob measurements, kept for the last ones asked for.
+
+        So `lhs_feasible` and `functional_from_dual` on one grid and
+        phenomenon build one table. Measurements match by identity; the kept
+        tuple holds them, so none of their ids can be reused while kept.
+        """
+        bob = tuple(bob)
+        kept, tables = self._last_bob_tables
+        if len(kept) == len(bob) and all(k is m for k, m in zip(kept, bob)):
+            return tables
+        tables = _bob_probability_table(self, bob)
+        object.__setattr__(self, "_last_bob_tables", (bob, tables))
+        return tables
 
 
 def qubit_grid(resolution: int) -> HiddenStateGrid:
@@ -215,15 +233,17 @@ def _strategy_block(outcome_counts: Sequence[int], indices: np.ndarray) -> tuple
     return np.unravel_index(indices, tuple(outcome_counts))
 
 
-def _bob_probability_table(grid: HiddenStateGrid, bob: Sequence[Measurement]) -> list[np.ndarray]:
-    """Q[b][B, l] = Tr[F_B^b ρ_l] for every Bob measurement and grid state."""
+def _bob_probability_table(grid: HiddenStateGrid, bob: Sequence[Measurement]) -> tuple[np.ndarray, ...]:
+    """Q[b][B, l] = Tr[F_B^b ρ_l] for every Bob measurement and grid state; read-only."""
     tables = []
     for meas in bob:
         if meas.dim != grid.dim:
             raise ValueError(f"Bob measurement {meas.label!r} dimension mismatch with grid")
-        products = np.array(meas.effects)[:, None] @ grid.matrices[None]
-        tables.append(np.real(np.trace(products, axis1=-2, axis2=-1)))
-    return tables
+        products = meas.effect_stack[:, None] @ grid.matrices[None]
+        table = np.real(np.trace(products, axis1=-2, axis2=-1))
+        table.setflags(write=False)
+        tables.append(table)
+    return tuple(tables)
 
 
 def _lp_system(phen: Phenomenon, grid: HiddenStateGrid) -> tuple[np.ndarray, np.ndarray, int]:
@@ -235,7 +255,7 @@ def _lp_system(phen: Phenomenon, grid: HiddenStateGrid) -> tuple[np.ndarray, np.
     counts = [m.n_outcomes for m in phen.strategy.alice]
     n_strategies = _strategy_count(counts)
     outcomes = _strategy_block(counts, np.arange(n_strategies))
-    q_tables = _bob_probability_table(grid, phen.strategy.bob)
+    q_tables = grid.bob_tables(phen.strategy.bob)
     n_rows = sum(t.probs.size for t in phen.tables) + 1
     a_mat = np.empty((n_rows, n_strategies * len(grid.matrices)))
     b_vec = np.empty(n_rows)
@@ -345,7 +365,7 @@ def _dual_columns(phen: Phenomenon, grid: HiddenStateGrid, y: np.ndarray) -> np.
     """
     counts = [m.n_outcomes for m in phen.strategy.alice]
     outcomes = _strategy_block(counts, np.arange(_strategy_count(counts)))
-    q_tables = _bob_probability_table(grid, phen.strategy.bob)
+    q_tables = grid.bob_tables(phen.strategy.bob)
     columns = np.full((len(outcomes[0]), len(grid.matrices)), y[-1])
     for (a_idx, b_idx), y_block in zip(phen.strategy.pairing, _dual_blocks(phen, y)):
         columns += (y_block @ q_tables[b_idx])[outcomes[a_idx]]
@@ -578,7 +598,7 @@ def reproduce_tables(phen: Phenomenon, grid: HiddenStateGrid, weights: np.ndarra
     if weights.shape != (n_strategies, len(grid.matrices)):
         raise ValueError(f"weights shape {weights.shape} does not match strategies x grid")
     outcomes = _strategy_block(counts, np.arange(n_strategies))
-    q_tables = _bob_probability_table(grid, phen.strategy.bob)
+    q_tables = grid.bob_tables(phen.strategy.bob)
     rebuilt = []
     for (a_idx, b_idx), table in zip(phen.strategy.pairing, phen.tables):
         out = np.zeros_like(table.probs)
@@ -618,8 +638,9 @@ def feasibility_flip(
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=2)
 def mub_qubit_measurements(n: int) -> tuple[Measurement, ...]:
-    """The first n of the mutually unbiased qubit spin measurements (Jx, Jy, Jz)."""
+    """The first n of the mutually unbiased qubit spin measurements (Jx, Jy, Jz); built once per n."""
     if n not in (2, 3):
         raise ValueError(f"qubit MUB preset supports 2 or 3 measurements, got {n}")
     spin = spin_operators(0.5)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -5,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from steerkit import families
+from steerkit import cli, families
 from steerkit.cli import main, read_measurement_file, write_measurement_file
 from steerkit.measurements import observable_to_measurement
 from steerkit.oracle import mub_qubit_measurements
@@ -103,6 +104,20 @@ class TestEval:
         record = dict(zip(header, values))
         assert record["violated"] == "true"
         assert float(record["lhs_value"]) == pytest.approx(0.6, abs=1e-12)
+
+    @pytest.mark.parametrize("nbar", [1e5, 1e6, 1e7])
+    def test_reid_cv_relative_error_at_large_nbar(self, capsys, nbar):
+        # The exact lhs of the pure state is 1/(1 + 2·nbar); the Schur
+        # complement's cancellation costs a relative error below 4·ε·nbar².
+        code, out, err = run_cli(
+            capsys, "eval", "--criterion", "reid-cv", "--family", "symmetric-gaussian",
+            "--nbar", repr(nbar), "--mu", "1",
+        )
+        assert code == 0, err
+        record = json.loads(out)
+        exact = 1.0 / (1.0 + 2.0 * nbar)
+        assert record["violated"] is True
+        assert abs(record["lhs_value"] - exact) <= 4 * np.finfo(float).eps * nbar**2 * exact
 
 
 class TestSweep:
@@ -473,3 +488,42 @@ class TestFigure:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("nbar,")
+
+
+class TestOneParser:
+    def test_consecutive_calls_leak_no_flags(self, capsys, tmp_path):
+        werner = ("--family", "werner", "--mu", "0.8", "--criterion", "linear-3")
+        out_file = tmp_path / "first.csv"
+        code, out, _ = run_cli(capsys, "eval", *werner, "--tag", "first", "--format", "csv", "--out", str(out_file))
+        assert (code, out) == (0, "")
+        assert out_file.read_text().startswith("criterion_id,")
+        code, out, _ = run_cli(capsys, "eval", *werner)
+        record = json.loads(out)  # the default format, on stdout
+        assert code == 0 and "tag" not in record
+        assert out_file.read_text().startswith("criterion_id,")
+
+        oracle = ("oracle", "--family", "werner", "--mu", "0.3", "--measurements", "mub2", "--grid", "20")
+        code, out, _ = run_cli(capsys, *oracle, "--tag", "first", "--out", str(tmp_path / "first.txt"))
+        assert (code, out) == (0, "")
+        code, out, _ = run_cli(capsys, *oracle)
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "feasible" and lines[-1] == "grid=20"
+
+        code, _, err = run_cli(capsys, "eval", "--family", "werner", "--criterion", "linear-3")
+        assert code == 2 and "requires --mu" in err
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "steerkit":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (("criteria", "list"), ("eval", "--family", "werner", "--mu", "0.5", "--criterion", "bowen")) * 3:
+            assert run_cli(capsys, *argv)[0] == 0
+        assert len(built) == 1
+        assert cli.build_parser() is built[0]

@@ -50,6 +50,21 @@ class TestSymmetricTwoMode:
         omega = symplectic_form(2)
         assert np.linalg.eigvalsh(state.cov + 1j * omega).min() >= -1e-9
 
+    @pytest.mark.parametrize("nbar", [1e5, 1e7, 1e9, 1e12])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    def test_large_nbar_members_are_physical(self, nbar, mu):
+        # eigvalsh's roundoff on cov + iΩ grows with its norm (-1.3e-8 at
+        # nbar 1e7, mu 1), so the check's tolerance scales with it.
+        family(nbar, mu)
+
+    def test_scaled_tolerance_still_rejects_unphysical_covariance(self):
+        # Shrinking the diagonal of the nbar = 1e7 pure state by 1e-9 of itself
+        # makes it unphysical: the smallest eigenvalue of cov + iΩ is -0.02,
+        # far below the scaled tolerance of about 1.4e-7.
+        cov = family(1e7, 1.0).cov * (1.0 - 1e-9 * np.eye(4))
+        with pytest.raises(ValueError, match="uncertainty principle"):
+            GaussianState(cov=cov, mean=np.zeros(4))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             SymmetricTwoModeParams(nbar=-0.1, mu=0.5)

@@ -476,6 +476,34 @@ class TestDualColumns:
         functional = oracle.functional_from_dual(phen, grid, outcome)
         assert np.concatenate([c.ravel() for c in functional.coeffs]).tobytes() == outcome.dual[:-1].tobytes()
 
+    def test_one_bob_table_per_certify(self, monkeypatch):
+        meas = mub_qubit_measurements(3)
+        phen = phenomenon_from_state(werner_state(0.9), all_pairs_strategy(meas, meas))
+        reference = oracle._bob_probability_table(qubit_grid(50), meas)
+        built = []
+        reference_table = oracle._bob_probability_table
+
+        def counting_table(grid, bob):
+            built.append(bob)
+            return reference_table(grid, bob)
+
+        monkeypatch.setattr(oracle, "_bob_probability_table", counting_table)
+        grid = qubit_grid(50)
+        outcome = lhs_feasible(phen, grid)
+        oracle.functional_from_dual(phen, grid, outcome)
+        oracle.reproduce_tables(phen, grid, np.zeros((8, len(grid.matrices))))
+        assert len(built) == 1
+        for table, ref in zip(grid.bob_tables(meas), reference, strict=True):
+            assert table.tobytes() == ref.tobytes()
+            assert not table.flags.writeable
+        # Other Bob measurements, or equal ones that are other objects, get their own table.
+        assert len(grid.bob_tables(meas[:2])) == 2
+        fresh = tuple(observable_to_measurement(m.effects[0] - m.effects[1], m.label) for m in meas)
+        grid.bob_tables(fresh)
+        assert len(built) == 3
+        with pytest.raises(ValueError, match="dual fails"):
+            oracle.functional_from_dual(phen, qubit_grid(60), outcome)
+
     def test_qutrit_random_pure_grid(self, rng):
         spin = spin_operators(1.0)
         meas = tuple(observable_to_measurement(op, label) for label, op in (("Jx", spin.jx), ("Jz", spin.jz)))

@@ -2,15 +2,26 @@
 
 `measure_joint` and `tensor_product` are compared with `==` on the raw bytes
 against the one-kron-per-pair loop in `loop_reference`; the cached spin
-operators, spin measurements and singlet must be shared and read-only.
+operators, spin measurements, plans, effect stacks, correlation products and
+singlet must be shared and read-only, and a cached plan is still checked on
+every evaluation.
 """
 
 import numpy as np
 import pytest
 
 import loop_reference
+from steerkit import criteria
 from steerkit.core import bipartite_from_matrix, spin_operators, tensor_product
-from steerkit.criteria import default_spin_plan, spin_triple_plan
+from steerkit.criteria import (
+    InferencePair,
+    InferencePlan,
+    default_spin_plan,
+    eval_additive_sum_three_spin,
+    eval_bowen,
+    eval_product_criterion,
+    spin_triple_plan,
+)
 from steerkit.families import singlet_state, werner_state
 from steerkit.measurements import (
     Measurement,
@@ -136,3 +147,62 @@ class TestCachedSpinObjects:
     def test_singlet_shared_and_frozen(self):
         assert singlet_state().matrix is singlet_state().matrix
         assert_read_only(singlet_state().matrix)
+
+    def test_plans_shared(self):
+        assert spin_triple_plan(0.5) is spin_triple_plan(0.5)
+        assert default_spin_plan(werner_state(0.3)) is default_spin_plan(werner_state(0.9))
+        plan = spin_triple_plan(1, 0.5)
+        assert plan is spin_triple_plan(1, 0.5)
+        assert plan.bob_operators is plan.bob_operators
+        assert plan.commutation_residues is plan.commutation_residues
+
+    def test_mub_presets_shared(self):
+        assert mub_qubit_measurements(3) is mub_qubit_measurements(3)
+        assert mub_qubit_measurements(2) is not mub_qubit_measurements(3)
+
+    @pytest.mark.parametrize(
+        "evaluator", [eval_product_criterion, eval_bowen, eval_additive_sum_three_spin]
+    )
+    def test_noncommuting_plan_raises_on_every_call(self, evaluator):
+        pairs = spin_triple_plan(0.5).pairs
+        broken = InferencePlan(pairs=(pairs[0], pairs[0], pairs[2]))
+        for mu in (0.5, 0.5, 0.9):
+            with pytest.raises(ValueError, match="commutation check failed"):
+                evaluator(werner_state(mu), broken)
+
+    def test_casimir_check_raises_on_every_call(self, rng):
+        # Spin-1/2 operators padded to a qutrit keep [b1, b2] = i·b3 (cyclic),
+        # but b1² + b2² + b3² is not 2·I, so they are no spin-1 triple.
+        ops = spin_operators(0.5)
+        padded = [np.pad(ops.component(axis), ((0, 1), (0, 1))) for axis in "xyz"]
+        pairs = spin_triple_plan(1).pairs
+        plan = InferencePlan(
+            pairs=tuple(
+                InferencePair(p.alice, observable_to_measurement(op, f"b{axis}"))
+                for p, op, axis in zip(pairs, padded, "xyz")
+            )
+        )
+        assert max(plan.commutation_residues) <= criteria.COMMUTATION_TOL
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not a spin-1.0 triple"):
+                eval_additive_sum_three_spin(random_state(rng, 3, 3), plan)
+
+    def test_effect_stack_frozen_and_bitwise(self):
+        spin1 = observable_to_measurement(spin_operators(1).jx, "Jx")
+        for meas in (*mub_qubit_measurements(3), trine_povm(), JZ_MEAS, spin1):
+            stack = meas.effect_stack
+            assert stack is meas.effect_stack
+            assert_read_only(stack[0])
+            fresh = np.stack(meas.effects)
+            assert stack.dtype == fresh.dtype and stack.shape == fresh.shape
+            assert stack.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("j_a, j_b", [(0.5, 0.5), (1, 1), (1, 0.5), (1.5, 1)])
+    def test_correlation_products_bitwise(self, j_a, j_b):
+        products = criteria._spin_correlation_operators(j_a, j_b)
+        assert products is criteria._spin_correlation_operators(j_a, j_b)
+        ops_a, ops_b = spin_operators(j_a), spin_operators(j_b)
+        for product, axis in zip(products, "xyz", strict=True):
+            fresh = tensor_product(ops_a.component(axis), ops_b.component(axis))
+            assert product.tobytes() == fresh.tobytes() and product.shape == fresh.shape
+            assert_read_only(product)
