@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,12 +26,17 @@ from .core import (
 )
 from .gaussian import P_A, P_B, X_A, X_B, GaussianState, conditional_min_variance, linear_combination_variance
 from .measurements import (
+    InferenceStatistics,
     JointDistribution,
     Measurement,
     PROB_FLOOR,
+    _check_pair_dimensions,
     _conditional_means,
+    born_probabilities,
+    check_probability_tables,
     collective_variance,
-    inference_variance,
+    effect_products,
+    inference_statistics,
     inferred_abs_mean,
     measure_joint,
     observable_to_measurement,
@@ -96,18 +101,54 @@ class InferencePair:
     bob: Measurement
 
 
+class PairStack(NamedTuple):
+    """The pairs of a plan that share one (n_a, n_b) outcome shape.
+
+    products holds E_A ⊗ F_B as a read-only (pairs, n_a, n_b, D, D) array and
+    b_values Bob's outcome values as a (pairs, n_b) array, both in the order
+    of indices, the pairs' positions in the plan.
+    """
+
+    indices: tuple[int, ...]
+    products: np.ndarray
+    b_values: np.ndarray
+
+
 @dataclass(frozen=True)
 class InferencePlan:
     """Measurement choices for each inferred Bob observable.
 
     Alice's choices are free parameters of every inference criterion; a plan
-    pins them down explicitly. Bob's observables and their commutation
-    residues are computed on first use and kept, so the evaluations that
-    share a plan compute them once; the checks against COMMUTATION_TOL still
-    run on every evaluation.
+    pins them down explicitly. Bob's observables, their commutation residues
+    and Casimir sum, and the effect products are computed on first use and
+    kept, so the evaluations that share a plan compute them once; the checks
+    against COMMUTATION_TOL still run on every evaluation.
     """
 
     pairs: tuple[InferencePair, ...]
+
+    @functools.cached_property
+    def effect_products(self) -> tuple[PairStack, ...]:
+        """E_A ⊗ F_B of every pair, stacked per outcome shape in order of first appearance.
+
+        A plan whose pairs share one shape, as every spin plan does, has one
+        stack. The products take 16·n_a·n_b·D² bytes per pair, 48·d⁶ for
+        three nondegenerate pairs of two d-level parties: 3 kB for qubits,
+        35 kB for spin-1, 750 kB for spin-2. Pairs whose dimensions differ
+        from one another cannot share a state, so evaluation checks them
+        against the state before it reads this.
+        """
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for idx, pair in enumerate(self.pairs):
+            by_shape.setdefault((pair.alice.n_outcomes, pair.bob.n_outcomes), []).append(idx)
+        stacks = []
+        for indices in by_shape.values():
+            products = np.stack([effect_products(self.pairs[i].alice, self.pairs[i].bob) for i in indices])
+            b_values = np.array([self.pairs[i].bob.values for i in indices])
+            for array in (products, b_values):
+                array.setflags(write=False)
+            stacks.append(PairStack(tuple(indices), products, b_values))
+        return tuple(stacks)
 
     @functools.cached_property
     def bob_operators(self) -> tuple[np.ndarray, ...]:
@@ -122,6 +163,12 @@ class InferencePlan:
             float(np.max(np.abs(b_ops[i] @ b_ops[k] - b_ops[k] @ b_ops[i] - 1j * b_ops[l])))
             for i, k, l in _CYCLIC_TRIPLES
         )
+
+    @functools.cached_property
+    def casimir(self) -> np.ndarray:
+        """b1² + b2² + b3² of three pairs' Bob operators."""
+        b_ops = self.bob_operators
+        return b_ops[0] @ b_ops[0] + b_ops[1] @ b_ops[1] + b_ops[2] @ b_ops[2]
 
 
 @functools.lru_cache(maxsize=8)
@@ -158,16 +205,32 @@ def _check_commutation(plan: InferencePlan, cyclic: bool) -> None:
             )
 
 
-def _plan_joints(state: BipartiteState, plan: InferencePlan) -> list[JointDistribution]:
-    return [measure_joint(state, pair.alice, pair.bob) for pair in plan.pairs]
+def _plan_statistics(state: BipartiteState, plan: InferencePlan) -> list[InferenceStatistics]:
+    """Born tables and inference statistics of every pair, one stacked pass per outcome shape.
+
+    Each pair is checked against the state's subsystems and each table with
+    every JointDistribution check, as measure_joint does for one pair; the
+    results carry the bits measure_joint and inference_statistics give it.
+    """
+    for pair in plan.pairs:
+        _check_pair_dimensions(state, pair.alice, pair.bob)
+    stats = [None] * len(plan.pairs)
+    for stack in plan.effect_products:
+        probs = born_probabilities(state, stack.products)
+        probs = check_probability_tables(probs, probs.shape)
+        group = inference_statistics(probs, stack.b_values)
+        for k, idx in enumerate(stack.indices):
+            stats[idx] = InferenceStatistics(group.weights[k], group.means[k], group.variance[k], group.abs_mean[k])
+    return stats
 
 
-def _conditional_mean_details(joint: JointDistribution, tag: str) -> dict[str, float]:
+def _conditional_mean_details(
+    stats: InferenceStatistics, a_values: tuple[float, ...], tag: str
+) -> dict[str, float]:
     """Per-Alice-outcome conditional means of B, keyed by the outcome value."""
-    weights, means = _conditional_means(joint)
     return {
-        f"conditional_mean_{tag}[{joint.a_values[idx]:g}]": float(means[idx])
-        for idx, weight in enumerate(weights)
+        f"conditional_mean_{tag}[{a_values[idx]:g}]": float(stats.means[idx])
+        for idx, weight in enumerate(stats.weights)
         if weight > PROB_FLOOR
     }
 
@@ -179,20 +242,18 @@ def _require_three_pairs(plan: InferencePlan, criterion_id: str) -> None:
 
 def _uncertainty_pair_terms(
     state: BipartiteState, plan: InferencePlan, criterion_id: str
-) -> tuple[tuple[np.ndarray, ...], list[JointDistribution], float, float]:
-    """Shared prologue of the [b1, b2] = i·b3 criteria: Bob operators, joints, Var_inf(B1), Var_inf(B2)."""
+) -> tuple[tuple[np.ndarray, ...], list[InferenceStatistics], float, float]:
+    """Shared prologue of the [b1, b2] = i·b3 criteria: Bob operators, pair statistics, Var_inf(B1), Var_inf(B2)."""
     _require_three_pairs(plan, criterion_id)
     _check_commutation(plan, cyclic=False)
-    joints = _plan_joints(state, plan)
-    v1 = inference_variance(joints[0])
-    v2 = inference_variance(joints[1])
-    return plan.bob_operators, joints, v1, v2
+    stats = _plan_statistics(state, plan)
+    return plan.bob_operators, stats, float(stats[0].variance), float(stats[1].variance)
 
 
 def eval_product_criterion(state: BipartiteState, plan: InferencePlan) -> CriterionResult:
     """D_inf(B1)·D_inf(B2) ≥ |<B3>|_inf / 2 for Bob observables with [b1, b2] = i·b3."""
-    _, joints, v1, v2 = _uncertainty_pair_terms(state, plan, "product-spin")
-    abs_mean_inf = inferred_abs_mean(joints[2])
+    _, stats, v1, v2 = _uncertainty_pair_terms(state, plan, "product-spin")
+    abs_mean_inf = float(stats[2].abs_mean)
     lhs = math.sqrt(v1) * math.sqrt(v2)
     details: dict[str, float | str] = {
         "inference_variance_1": v1,
@@ -201,7 +262,7 @@ def eval_product_criterion(state: BipartiteState, plan: InferencePlan) -> Criter
         "estimator_1": "conditional-mean",
         "estimator_2": "conditional-mean",
     }
-    details.update(_conditional_mean_details(joints[2], "3"))
+    details.update(_conditional_mean_details(stats[2], plan.pairs[2].alice.values, "3"))
     return _result("product-spin", lhs, 0.5 * abs_mean_inf, VIOLATED_IF_BELOW, details)
 
 
@@ -221,14 +282,14 @@ def eval_bowen(state: BipartiteState, plan: InferencePlan) -> CriterionResult:
 
 def eval_additive_sum_two(state: BipartiteState, plan: InferencePlan) -> CriterionResult:
     """Var_inf(B1) + Var_inf(B2) ≥ |<B3>|_inf; implied by the product criterion."""
-    _, joints, v1, v2 = _uncertainty_pair_terms(state, plan, "sum-two")
-    abs_mean_inf = inferred_abs_mean(joints[2])
+    _, stats, v1, v2 = _uncertainty_pair_terms(state, plan, "sum-two")
+    abs_mean_inf = float(stats[2].abs_mean)
     details: dict[str, float | str] = {
         "inference_variance_1": v1,
         "inference_variance_2": v2,
         "inferred_abs_mean_3": abs_mean_inf,
     }
-    details.update(_conditional_mean_details(joints[2], "3"))
+    details.update(_conditional_mean_details(stats[2], plan.pairs[2].alice.values, "3"))
     return _result("sum-two", v1 + v2, abs_mean_inf, VIOLATED_IF_BELOW, details)
 
 
@@ -242,13 +303,10 @@ def eval_additive_sum_three_spin(
         raise ValueError(f"Bob dimension {state.dim_b} does not equal 2j+1 = {dim_j}")
     j_val = (state.dim_b - 1) / 2
     _check_commutation(plan, cyclic=True)
-    b_ops = plan.bob_operators
-    casimir = b_ops[0] @ b_ops[0] + b_ops[1] @ b_ops[1] + b_ops[2] @ b_ops[2]
-    if np.max(np.abs(casimir - j_val * (j_val + 1) * np.eye(state.dim_b))) > COMMUTATION_TOL:
+    if np.max(np.abs(plan.casimir - j_val * (j_val + 1) * np.eye(state.dim_b))) > COMMUTATION_TOL:
         labels = ", ".join(p.bob.label for p in plan.pairs)
         raise ValueError(f"Bob observables ({labels}) are not a spin-{j_val} triple")
-    joints = _plan_joints(state, plan)
-    variances = [inference_variance(jd) for jd in joints]
+    variances = [float(pair_stats.variance) for pair_stats in _plan_statistics(state, plan)]
     details: dict[str, float | str] = {
         f"inference_variance_{i + 1}": v for i, v in enumerate(variances)
     }

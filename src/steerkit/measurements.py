@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,6 +150,32 @@ def all_pairs_strategy(
     return MeasurementStrategy(alice=tuple(alice), bob=tuple(bob), pairing=pairing)
 
 
+def check_probability_tables(probs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Validated read-only float copy of a (..., n_a, n_b) stack of P(A, B) tables.
+
+    The stack must be finite and of the given shape, and every table must
+    have no entry below -PROB_FLOOR and sum to 1 within 1e-10; entries below
+    0 are then set to 0. Non-finite entries are rejected first, since NaN
+    fails every tolerance comparison. Each table is summed along its
+    flattened last axis, which adds its entries in the same order as a sum
+    of that table alone.
+    """
+    p = np.array(probs, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError("probability table must be finite")
+    if p.shape != shape:
+        raise ValueError("probability table shape does not match outcome values")
+    if p.min() < -PROB_FLOOR:
+        raise ValueError(f"negative probability {p.min():.3e} beyond tolerance")
+    p[p < 0] = 0.0
+    sums = p.reshape(*shape[:-2], -1).sum(axis=-1)
+    off = np.abs(sums - 1.0) > ATOL_STRUCTURAL
+    if off.any():
+        raise ValueError(f"probabilities sum to {np.ravel(sums)[np.argmax(off)]!r}, not 1 within 1e-10")
+    p.setflags(write=False)
+    return p
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """P(A, B) for one measurement pair, rows indexed by Alice's outcome."""
@@ -158,17 +185,7 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.array(self.probs, dtype=float)
-        if not np.isfinite(p).all():
-            raise ValueError("probability table must be finite")
-        if p.shape != (len(self.a_values), len(self.b_values)):
-            raise ValueError("probability table shape does not match outcome values")
-        if p.min() < -PROB_FLOOR:
-            raise ValueError(f"negative probability {p.min():.3e} beyond tolerance")
-        p[p < 0] = 0.0
-        if abs(p.sum() - 1.0) > ATOL_STRUCTURAL:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1 within 1e-10")
-        p.setflags(write=False)
+        p = check_probability_tables(self.probs, (len(self.a_values), len(self.b_values)))
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "a_values", tuple(float(v) for v in self.a_values))
         object.__setattr__(self, "b_values", tuple(float(v) for v in self.b_values))
@@ -183,32 +200,79 @@ class JointDistribution:
         return float(self.marginal_b() @ np.asarray(self.b_values))
 
 
-def measure_joint(state: BipartiteState, a: Measurement, b: Measurement) -> JointDistribution:
-    """Born rule for one pair: P(A, B) = Tr[W (E_A ⊗ F_B)]."""
+def _check_pair_dimensions(state: BipartiteState, a: Measurement, b: Measurement) -> None:
+    """Raise ValueError unless Alice's and Bob's measurements act on the state's subsystems."""
     if a.dim != state.dim_a:
         raise ValueError(f"Alice measurement dimension {a.dim} != subsystem dimension {state.dim_a}")
     if b.dim != state.dim_b:
         raise ValueError(f"Bob measurement dimension {b.dim} != subsystem dimension {state.dim_b}")
-    # Every E_A ⊗ F_B at once, as an (n_a, n_b, d, d) stack laid out like
-    # tensor_product's blocks; one stacked matmul and trace then give the
-    # same bits as a trace of W·(E_A ⊗ F_B) per pair.
+
+
+def effect_products(a: Measurement, b: Measurement) -> np.ndarray:
+    """Every E_A ⊗ F_B as an (n_a, n_b, d_a·d_b, d_a·d_b) stack laid out like tensor_product's blocks.
+
+    Each entry is the same complex multiply as in tensor_product, so each
+    product has its bits.
+    """
     ea, fb = a.effect_stack, b.effect_stack
-    d_a, d_b = state.dim_a, state.dim_b
-    pairs = ea[:, None, :, None, :, None] * fb[None, :, None, :, None, :]
-    pairs = pairs.reshape(a.n_outcomes, b.n_outcomes, d_a * d_b, d_a * d_b)
-    probs = np.trace(state.matrix @ pairs, axis1=-2, axis2=-1).real
+    d = a.dim * b.dim
+    products = ea[:, None, :, None, :, None] * fb[None, :, None, :, None, :]
+    return products.reshape(a.n_outcomes, b.n_outcomes, d, d)
+
+
+def born_probabilities(state: BipartiteState, products: np.ndarray) -> np.ndarray:
+    """Tr[W·P] for every P of a (..., D, D) stack of effect products, unvalidated.
+
+    One stacked matmul and trace: each product gets the same bits as a trace
+    of W·P alone.
+    """
+    return np.trace(state.matrix @ products, axis1=-2, axis2=-1).real
+
+
+def measure_joint(state: BipartiteState, a: Measurement, b: Measurement) -> JointDistribution:
+    """Born rule for one pair: P(A, B) = Tr[W (E_A ⊗ F_B)]."""
+    _check_pair_dimensions(state, a, b)
+    probs = born_probabilities(state, effect_products(a, b))
     return JointDistribution(a_values=a.values, b_values=b.values, probs=probs)
+
+
+class InferenceStatistics(NamedTuple):
+    """Alice-conditioned statistics of Bob's outcome, per table of a stack.
+
+    weights: P(A), shape (..., n_a). means: the mean of P(B|A), 0 where P(A)
+    is at or below PROB_FLOOR, shape (..., n_a). variance: Σ_A P(A)·Var(B|A),
+    shape (...). abs_mean: Σ_A P(A)·|mean of P(B|A)| over the rows above
+    PROB_FLOOR, shape (...).
+    """
+
+    weights: np.ndarray
+    means: np.ndarray
+    variance: np.ndarray
+    abs_mean: np.ndarray
+
+
+def inference_statistics(probs: np.ndarray, b_values: np.ndarray) -> InferenceStatistics:
+    """Weights, conditional means, inference variances and inferred |means| in one pass.
+
+    probs is a validated (..., n_a, n_b) stack of tables and b_values the
+    matching (..., n_b) Bob outcome values. Every sum runs along the last
+    axis of one table (flattened for the variance), so a table gets the same
+    bits in a stack as alone.
+    """
+    b = np.asarray(b_values, dtype=float)[..., None, :]
+    weights = probs.sum(axis=-1)
+    kept = weights > PROB_FLOOR
+    means = np.divide(np.vecdot(probs, b), weights, out=np.zeros_like(weights), where=kept)
+    err_sq = (b - means[..., None]) ** 2
+    variance = (probs * err_sq).reshape(*probs.shape[:-2], -1).sum(axis=-1)
+    abs_mean = np.where(kept, weights * np.abs(means), 0.0).sum(axis=-1)
+    return InferenceStatistics(weights, means, variance, abs_mean)
 
 
 def _conditional_means(joint: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Per-Alice-outcome weights and conditional means of B; zero-weight rows get mean 0."""
-    weights = joint.marginal_a()
-    b = np.asarray(joint.b_values)
-    means = np.zeros(len(weights))
-    for i, w in enumerate(weights):
-        if w > PROB_FLOOR:
-            means[i] = float(joint.probs[i] @ b) / w
-    return weights, means
+    stats = inference_statistics(joint.probs, joint.b_values)
+    return stats.weights, stats.means
 
 
 def inference_variance(joint: JointDistribution) -> float:
@@ -217,16 +281,12 @@ def inference_variance(joint: JointDistribution) -> float:
     The best estimate is the conditional mean of P(B|A); no estimator does
     better (Reid 1989; Cavalcanti, Jones, Wiseman & Reid 2009).
     """
-    _, means = _conditional_means(joint)
-    b = np.asarray(joint.b_values)
-    err_sq = (b[None, :] - means[:, None]) ** 2
-    return float(np.sum(joint.probs * err_sq))
+    return float(inference_statistics(joint.probs, joint.b_values).variance)
 
 
 def inferred_abs_mean(joint: JointDistribution) -> float:
     """Σ_A P(A)·|mean of P(B|A)|; never below the unconditional |<B>|."""
-    weights, means = _conditional_means(joint)
-    return float(np.sum(weights[weights > PROB_FLOOR] * np.abs(means[weights > PROB_FLOOR])))
+    return float(inference_statistics(joint.probs, joint.b_values).abs_mean)
 
 
 def collective_variance(

@@ -7,7 +7,10 @@ enumeration that `certify_steering` ran for every Bob before the plane
 arrangement, which the arrangement must match bit for bit, and of the Bob
 tables from a tuple grid stacked on every call; of the original Born rule
 (one np.kron and trace per effect pair), which `measure_joint` and
-`tensor_product` must match bit for bit; of the criteria's original if-chain
+`tensor_product` must match bit for bit; of the original one-table inference
+statistics (a Python loop over Alice's rows for the conditional means), which
+the plan pass and `inference_statistics` must match bit for bit for fewer
+than eight Alice outcomes; of the criteria's original if-chain
 dispatch, which the `CATALOG` evaluators must match result for result; and
 of removed duplicates and options: the gain-based Reid product, which
 `eval_collective(..., "product-cv", "fixed")` must match bit for bit; the
@@ -40,7 +43,7 @@ from steerkit.criteria import (
     eval_reid_cv,
 )
 from steerkit.gaussian import P_A, P_B, X_A, X_B, GaussianState, linear_combination_variance
-from steerkit.measurements import PROB_FLOOR, JointDistribution, _conditional_means
+from steerkit.measurements import PROB_FLOOR, JointDistribution
 
 
 def lp_system(phen, grid, bob):
@@ -179,6 +182,37 @@ def measure_joint(state, a, b):
     return JointDistribution(a_values=a.values, b_values=b.values, probs=probs)
 
 
+def conditional_means(joint):
+    """Per-Alice-outcome weights and conditional means of B, one row at a time; 0 for empty rows."""
+    weights = joint.marginal_a()
+    b = np.asarray(joint.b_values)
+    means = np.zeros(len(weights))
+    for i, w in enumerate(weights):
+        if w > PROB_FLOOR:
+            means[i] = float(joint.probs[i] @ b) / w
+    return weights, means
+
+
+def inference_variance(joint):
+    """Σ_A P(A)·Var(B|A) from the row-loop conditional means."""
+    _, means = conditional_means(joint)
+    b = np.asarray(joint.b_values)
+    err_sq = (b[None, :] - means[:, None]) ** 2
+    return float(np.sum(joint.probs * err_sq))
+
+
+def inferred_abs_mean(joint):
+    """Σ_A P(A)·|mean of P(B|A)| over the rows above PROB_FLOOR, as a sum of the kept rows only.
+
+    With eight or more Alice outcomes and a row at or below PROB_FLOOR, numpy's
+    pairwise sum groups the kept rows differently from a sum with that row's
+    zero in place, so the last bits can differ there.
+    """
+    weights, means = conditional_means(joint)
+    kept = weights > PROB_FLOOR
+    return float(np.sum(weights[kept] * np.abs(means[kept])))
+
+
 def reid_cv_gain_product(state, gains):
     """(lhs, Var(gx·x_A + x_B), Var(gp·p_A + p_B)) of the gain-based Reid product."""
     gx, gp = float(gains[0]), float(gains[1])
@@ -193,7 +227,7 @@ def reid_cv_gain_product(state, gains):
 
 def min_inference_variance(joint):
     """Σ_A P(A)·Var(B|A) over the Alice rows above PROB_FLOOR, one row at a time."""
-    weights, means = _conditional_means(joint)
+    weights, means = conditional_means(joint)
     b = np.asarray(joint.b_values)
     total = 0.0
     for i, w in enumerate(weights):

@@ -107,6 +107,15 @@ CASES.append(
     )
 )
 for _fmt in ("csv", "json"):
+    for _criterion in ("product-spin", "sum-two", "sum-three-spin"):
+        CASES.append(
+            (
+                f"boundary-{_criterion}.{_fmt}",
+                ["boundary", "--criterion", _criterion, "--family", "werner", "--param", "mu",
+                 "--format", _fmt],
+                None,
+            )
+        )
     CASES.append(
         (
             f"boundary-linear-3.{_fmt}",

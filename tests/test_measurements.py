@@ -14,6 +14,7 @@ from steerkit.measurements import (
     PROB_FLOOR,
     _conditional_means,
     assemblage_from_state,
+    check_probability_tables,
     collective_variance,
     inference_variance,
     inferred_abs_mean,
@@ -92,12 +93,61 @@ class TestMeasurementStrategy:
             MeasurementStrategy(pairing=((0, 0), (1, 1)), **sides)
 
 
+def _message(fn, *args):
+    with pytest.raises(ValueError) as excinfo:
+        fn(*args)
+    return str(excinfo.value)
+
+
 class TestJointDistributionValidation:
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_probability(self, entry):
         probs = np.array([[entry, 0.5], [0.25, 0.25]])
         with pytest.raises(ValueError, match="probability table must be finite"):
             JointDistribution((1.0, -1.0), (1.0, -1.0), probs)
+
+    @pytest.mark.parametrize("bad", range(3))
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("nan", "probability table must be finite"),
+            ("negative", "negative probability -1.000e-09 beyond tolerance"),
+            ("sum", "probabilities sum to np.float64(1.000000001"),
+        ],
+    )
+    def test_stack_with_one_bad_table(self, rng, bad, defect, message):
+        stack = rng.random((3, 2, 3))
+        stack /= stack.sum(axis=(1, 2), keepdims=True)
+        if defect == "nan":
+            stack[bad, 1, 2] = np.nan
+        elif defect == "negative":
+            stack[bad, 0, 0] += stack[bad, 1, 1] + 1e-9
+            stack[bad, 1, 1] = -1e-9
+        else:
+            stack[bad] *= 1 + 1e-9
+        values = ((1.0, -1.0), (1.0, 0.0, -1.0))
+        alone = _message(JointDistribution, *values, stack[bad])
+        assert alone.startswith(message)
+        assert _message(check_probability_tables, stack, stack.shape) == alone
+        check_probability_tables(np.delete(stack, bad, axis=0), (2, 2, 3))
+
+    def test_two_dimensional_table_as_before(self):
+        probs = np.array([[0.5, -1e-13], [0.25, 0.25 + 1e-13]])
+        joint = JointDistribution((1.0, -1.0), (1.0, -1.0), probs)
+        expected = probs.copy()
+        expected[0, 1] = 0.0
+        assert joint.probs.tobytes() == expected.tobytes()
+        assert not joint.probs.flags.writeable and probs[0, 1] == -1e-13
+        with pytest.raises(ValueError, match="shape does not match outcome values"):
+            JointDistribution((1.0, -1.0), (1.0, 0.0, -1.0), probs)
+        with pytest.raises(ValueError, match="must be finite"):
+            JointDistribution((1.0, -1.0), (1.0, 0.0, -1.0), np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match="shape does not match outcome values"):
+            check_probability_tables(np.full((1, 2, 2), 0.25), (2, 2))
+        scaled = np.full((3, 3), (1 + 2e-10) / 9)
+        assert _message(JointDistribution, (1, 0, -1), (1, 0, -1), scaled) == (
+            f"probabilities sum to {scaled.sum()!r}, not 1 within 1e-10"
+        )
 
 
 class TestMeasureJoint:

@@ -1,14 +1,17 @@
 """The spin path reproduces the original kron loops bit for bit and shares its spin objects.
 
 `measure_joint` and `tensor_product` are compared with `==` on the raw bytes
-against the one-kron-per-pair loop in `loop_reference`; the cached spin
-operators, spin measurements, plans, effect stacks, correlation products and
-singlet must be shared and read-only, and a cached plan is still checked on
-every evaluation.
+against the one-kron-per-pair loop in `loop_reference`, and an inference
+plan's stacked pass against per-pair `measure_joint` and the row-loop
+statistics there; the cached spin operators, spin measurements, plans, effect
+stacks, effect products, correlation products and singlet must be shared and
+read-only, and a cached plan is still checked on every evaluation.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loop_reference
 from steerkit import criteria
@@ -18,6 +21,7 @@ from steerkit.criteria import (
     InferencePlan,
     default_spin_plan,
     eval_additive_sum_three_spin,
+    eval_additive_sum_two,
     eval_bowen,
     eval_product_criterion,
     spin_triple_plan,
@@ -25,7 +29,13 @@ from steerkit.criteria import (
 from steerkit.families import singlet_state, werner_state
 from steerkit.measurements import (
     Measurement,
+    _conditional_means,
     all_pairs_strategy,
+    born_probabilities,
+    check_probability_tables,
+    effect_products,
+    inference_variance,
+    inferred_abs_mean,
     measure_joint,
     observable_to_measurement,
 )
@@ -95,6 +105,147 @@ class TestBornRule:
                 assert table.probs.tobytes() == old.probs.tobytes()
 
 
+def basis_measurement(j, label):
+    """Jz as exact diagonal projectors, so a state without an Alice level gives that outcome weight 0."""
+    dim = round(2 * j) + 1
+    return Measurement(label, tuple(j - k for k in range(dim)), tuple(np.diag(e) for e in np.eye(dim)))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def plans_and_states(draw):
+    """A spin-1/2, 1 or 3/2 plan of one to four pairs and a state on it.
+
+    Alice measures a random spin component, Jz in its eigenbasis, the
+    degenerate Jz² or, for qubits, the trine POVM, so plans mix outcome
+    counts; the state lacks a random set of Alice's Jz levels, so Jz
+    measurements meet outcomes of weight 0.
+    """
+    j = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    dim = round(2 * j) + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["spin", "basis", "degenerate"] + (["trine"] if dim == 2 else [])
+    pairs = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "spin":
+            alice = random_spin_measurement(rng, j, f"a{i}")
+        elif kind == "basis":
+            alice = basis_measurement(j, f"a{i}")
+        elif kind == "degenerate":
+            alice = observable_to_measurement(spin_operators(j).jz @ spin_operators(j).jz, f"a{i}")
+        else:
+            alice = trine_povm()
+        pairs.append(InferencePair(alice, random_spin_measurement(rng, j, f"b{i}")))
+    missing = draw(st.sets(st.integers(0, dim - 1), max_size=dim - 1))
+    keep = np.repeat([level not in missing for level in range(dim)], dim)
+    rho = random_density_matrix(rng, dim * dim).matrix * np.outer(keep, keep)
+    state = bipartite_from_matrix(rho / np.trace(rho).real, dim, dim)
+    return InferencePlan(pairs=tuple(pairs)), state
+
+
+class TestPlanPass:
+    @settings(max_examples=80, deadline=None)
+    @given(case=plans_and_states())
+    def test_matches_per_pair_and_row_loop(self, case):
+        plan, state = case
+        stats = criteria._plan_statistics(state, plan)
+        tables = {}
+        for stack in plan.effect_products:
+            probs = born_probabilities(state, stack.products)
+            for k, idx in enumerate(stack.indices):
+                tables[idx] = check_probability_tables(probs, probs.shape)[k]
+        for idx, pair in enumerate(plan.pairs):
+            joint = measure_joint(state, pair.alice, pair.bob)
+            old = loop_reference.measure_joint(state, pair.alice, pair.bob)
+            assert tables[idx].tobytes() == joint.probs.tobytes() == old.probs.tobytes()
+            for got, per_pair, row_loop in zip(
+                (stats[idx].weights, stats[idx].means),
+                _conditional_means(joint),
+                loop_reference.conditional_means(old),
+            ):
+                assert bits(got) == bits(per_pair) == bits(row_loop)
+            assert bits(stats[idx].variance) == bits(inference_variance(joint))
+            assert bits(stats[idx].variance) == bits(loop_reference.inference_variance(old))
+            assert bits(stats[idx].abs_mean) == bits(inferred_abs_mean(joint))
+            assert bits(stats[idx].abs_mean) == bits(loop_reference.inferred_abs_mean(old))
+
+    def test_zero_weight_rows_and_ragged_stacks(self, rng):
+        spin_1 = spin_operators(1)
+        pairs = (
+            InferencePair(basis_measurement(1, "a0"), observable_to_measurement(spin_1.jx, "b0")),
+            InferencePair(observable_to_measurement(spin_1.jz @ spin_1.jz, "a1"),
+                          observable_to_measurement(spin_1.jy, "b1")),
+            InferencePair(basis_measurement(1, "a2"), observable_to_measurement(spin_1.jz, "b2")),
+        )
+        plan = InferencePlan(pairs=pairs)
+        assert [stack.indices for stack in plan.effect_products] == [(0, 2), (1,)]
+        rho = random_density_matrix(rng, 9).matrix.copy()
+        rho[6:, :] = rho[:, 6:] = 0
+        state = bipartite_from_matrix(rho / np.trace(rho).real, 3, 3)
+        stats = criteria._plan_statistics(state, plan)
+        for idx in (0, 2):
+            assert stats[idx].weights[2] == 0 and stats[idx].means[2] == 0
+        for idx, pair in enumerate(pairs):
+            old = loop_reference.measure_joint(state, pair.alice, pair.bob)
+            assert bits(stats[idx].variance) == bits(loop_reference.inference_variance(old))
+            assert bits(stats[idx].abs_mean) == bits(loop_reference.inferred_abs_mean(old))
+
+    @pytest.mark.parametrize(
+        "diagonal, message",
+        [
+            ((-0.01, 0.51, 0.25, 0.25), "negative probability -1.000e-02 beyond tolerance"),
+            ((np.nan, 0.5, 0.25, 0.25), "probability table must be finite"),
+            ((0.3, 0.3, 0.25, 0.25), "probabilities sum to np.float64(1.09"),
+        ],
+    )
+    def test_every_table_check_applies(self, diagonal, message):
+        # A matrix no DensityMatrix accepts, set behind its back, so that the
+        # Born tables themselves are bad; the plan pass must raise what the
+        # first failing per-pair measure_joint raises.
+        state = bipartite_from_matrix(np.eye(4) / 4, 2, 2)
+        object.__setattr__(state.state, "matrix", np.diag(np.array(diagonal, dtype=complex)))
+        plan = spin_triple_plan(0.5)
+        with pytest.raises(ValueError) as per_pair:
+            for pair in plan.pairs:
+                measure_joint(state, pair.alice, pair.bob)
+        assert str(per_pair.value).startswith(message)
+        for evaluator in (eval_product_criterion, eval_bowen, eval_additive_sum_two, eval_additive_sum_three_spin):
+            with pytest.raises(ValueError) as excinfo:
+                evaluator(state, plan)
+            assert str(excinfo.value) == str(per_pair.value)
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="Alice measurement dimension 3 != subsystem dimension 2"):
+            criteria._plan_statistics(werner_state(0.5), spin_triple_plan(1, 0.5))
+        with pytest.raises(ValueError, match="Bob measurement dimension 3 != subsystem dimension 2"):
+            eval_product_criterion(werner_state(0.5), spin_triple_plan(0.5, 1))
+
+    def test_effect_products_shared_frozen_and_bitwise(self, monkeypatch):
+        plan = spin_triple_plan(1)
+        (stack,) = plan.effect_products
+        assert stack.indices == (0, 1, 2) and stack.products.shape == (3, 3, 3, 9, 9)
+        assert stack.products.nbytes == 48 * 3**6
+        for k, pair in enumerate(plan.pairs):
+            assert stack.products[k].tobytes() == effect_products(pair.alice, pair.bob).tobytes()
+            assert stack.b_values[k].tolist() == list(pair.bob.values)
+        for array in (stack.products, stack.b_values):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+        def rebuilt(*args):
+            raise AssertionError("effect products rebuilt for a cached plan")
+
+        monkeypatch.setattr(criteria, "effect_products", rebuilt)
+        state = bipartite_from_matrix(np.eye(9) / 9, 3, 3)
+        for evaluator in (eval_product_criterion, eval_additive_sum_two, eval_additive_sum_three_spin):
+            evaluator(state, plan)
+        assert plan.effect_products[0] is stack
+
+
 class TestTensorProduct:
     @pytest.mark.parametrize("shape_a, shape_b", [((2, 3), (3, 1)), ((1, 4), (2, 2)), ((3, 3), (2, 5))])
     def test_non_square_matches_kron(self, rng, shape_a, shape_b):
@@ -155,13 +306,15 @@ class TestCachedSpinObjects:
         assert plan is spin_triple_plan(1, 0.5)
         assert plan.bob_operators is plan.bob_operators
         assert plan.commutation_residues is plan.commutation_residues
+        assert plan.casimir is plan.casimir
+        assert plan.effect_products is plan.effect_products
 
     def test_mub_presets_shared(self):
         assert mub_qubit_measurements(3) is mub_qubit_measurements(3)
         assert mub_qubit_measurements(2) is not mub_qubit_measurements(3)
 
     @pytest.mark.parametrize(
-        "evaluator", [eval_product_criterion, eval_bowen, eval_additive_sum_three_spin]
+        "evaluator", [eval_product_criterion, eval_bowen, eval_additive_sum_two, eval_additive_sum_three_spin]
     )
     def test_noncommuting_plan_raises_on_every_call(self, evaluator):
         pairs = spin_triple_plan(0.5).pairs
