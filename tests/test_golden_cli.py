@@ -64,6 +64,25 @@ for _preset, _mu in (("mub2", "0.72"), ("mub3", "0.6")):
             f"oracle-{_preset}.cert.json",
         )
     )
+# The other branches of `oracle`: a feasible grid, an uncertified infeasible
+# one, and a certificate over measurements read from a file (the four cube
+# diagonals, written by `write_measurement_file`: 16 strategies, 65 LP rows).
+_ORACLE_WERNER = ["oracle", "--family", "werner"]
+CASES.append(
+    ("oracle-feasible.txt", [*_ORACLE_WERNER, "--mu", "0.5", "--measurements", "mub3", "--grid", "200"], None)
+)
+CASES.append(
+    ("oracle-grid-infeasible.txt",
+     [*_ORACLE_WERNER, "--mu", "0.75", "--measurements", "mub2", "--grid", "200"], None)
+)
+CASES.append(
+    (
+        "oracle-cube4.txt",
+        [*_ORACLE_WERNER, "--mu", "0.7", "--measurements", str(GOLDEN / "cube4.measurements"),
+         "--grid", "50", "--certify"],
+        "oracle-cube4.cert.json",
+    )
+)
 
 
 CASES.append(("criteria-list.csv", ["criteria", "list"], None))
