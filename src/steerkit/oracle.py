@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,8 +142,6 @@ class HiddenStateGrid:
 
     matrices: np.ndarray
     resolution: int
-    # (Bob measurements, their tables) of the last `bob_tables` call.
-    _last_bob_tables: tuple = field(default=((), ()), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrices, dtype=complex)
@@ -158,21 +156,6 @@ class HiddenStateGrid:
     @property
     def dim(self) -> int:
         return self.matrices.shape[1]
-
-    def bob_tables(self, bob: Sequence[Measurement]) -> tuple[np.ndarray, ...]:
-        """`_bob_probability_table` of these Bob measurements, kept for the last ones asked for.
-
-        So `lhs_feasible` and `functional_from_dual` on one grid and
-        phenomenon build one table. Measurements match by identity; the kept
-        tuple holds them, so none of their ids can be reused while kept.
-        """
-        bob = tuple(bob)
-        kept, tables = self._last_bob_tables
-        if len(kept) == len(bob) and all(k is m for k, m in zip(kept, bob)):
-            return tables
-        tables = _bob_probability_table(self, bob)
-        object.__setattr__(self, "_last_bob_tables", (bob, tables))
-        return tables
 
 
 def qubit_grid(resolution: int) -> HiddenStateGrid:
@@ -250,12 +233,13 @@ def _lp_system(phen: Phenomenon, grid: HiddenStateGrid) -> tuple[np.ndarray, np.
     """Equality system A·w = b over weights w[strategy, grid state] ≥ 0.
 
     One row per (pairing entry, Alice outcome, Bob outcome), plus a final
-    normalization row Σw = 1. Also returns the number of strategies.
+    normalization row Σw = 1. Column k·n_states + l is strategy k with grid
+    state l. Also returns the number of strategies.
     """
     counts = [m.n_outcomes for m in phen.strategy.alice]
     n_strategies = _strategy_count(counts)
     outcomes = _strategy_block(counts, np.arange(n_strategies))
-    q_tables = grid.bob_tables(phen.strategy.bob)
+    q_tables = _bob_probability_table(grid, phen.strategy.bob)
     n_rows = sum(t.probs.size for t in phen.tables) + 1
     a_mat = np.empty((n_rows, n_strategies * len(grid.matrices)))
     b_vec = np.empty(n_rows)
@@ -348,28 +332,13 @@ class SteeringFunctional:
 
 
 def _dual_blocks(phen: Phenomenon, y: np.ndarray) -> list[np.ndarray]:
-    """The multipliers of each pairing entry's rows, shaped like its table."""
+    """The entries of a row vector (a dual, or A·w) on each pairing entry's rows, shaped like its table."""
     blocks = []
     row = 0
     for table in phen.tables:
         blocks.append(y[row : row + table.probs.size].reshape(table.probs.shape))
         row += table.probs.size
     return blocks
-
-
-def _dual_columns(phen: Phenomenon, grid: HiddenStateGrid, y: np.ndarray) -> np.ndarray:
-    """yᵀA of the `_lp_system` matrix as an array [strategy, grid state], without building A.
-
-    Column (k, l) is the normalization multiplier plus, per pairing entry
-    (a, b), Σ_B y[k(a), B]·Q[b][B, l].
-    """
-    counts = [m.n_outcomes for m in phen.strategy.alice]
-    outcomes = _strategy_block(counts, np.arange(_strategy_count(counts)))
-    q_tables = grid.bob_tables(phen.strategy.bob)
-    columns = np.full((len(outcomes[0]), len(grid.matrices)), y[-1])
-    for (a_idx, b_idx), y_block in zip(phen.strategy.pairing, _dual_blocks(phen, y)):
-        columns += (y_block @ q_tables[b_idx])[outcomes[a_idx]]
-    return columns
 
 
 def functional_from_dual(
@@ -385,12 +354,12 @@ def functional_from_dual(
     ≤ -y_norm by construction; only `certify_steering` turns it into a
     rigorous grid-free verdict.
     """
-    b_vec = np.concatenate([t.probs.ravel() for t in phen.tables] + [np.ones(1)])
+    a_mat, b_vec, _ = _lp_system(phen, grid)
     y = np.asarray(infeasible.dual, dtype=float)
     if y.shape != b_vec.shape:
         raise ValueError(f"dual length {y.shape} does not match {b_vec.size} constraints")
     scale = max(1.0, float(np.max(np.abs(y))))
-    if float(np.max(_dual_columns(phen, grid, y))) > 1e-7 * scale or float(y @ b_vec) <= 0:
+    if float(np.max(y @ a_mat)) > 1e-7 * scale or float(y @ b_vec) <= 0:
         raise ValueError("dual fails the grid-level separation check")
     return SteeringFunctional(coeffs=tuple(block.copy() for block in _dual_blocks(phen, y)))
 
@@ -591,21 +560,12 @@ def reproduce_tables(phen: Phenomenon, grid: HiddenStateGrid, weights: np.ndarra
     """Rebuild the joint tables a weight vector generates; a model witness check.
 
     Returns one array per pairing entry with
-    P(A,B|a,b) = Σ_{k: k(a)=A, λ} w[k,λ]·Tr[F_B^b ρ_λ].
+    P(A,B|a,b) = Σ_{k: k(a)=A, λ} w[k,λ]·Tr[F_B^b ρ_λ], the rows of A·w.
     """
-    counts = [m.n_outcomes for m in phen.strategy.alice]
-    n_strategies = _strategy_count(counts)
+    a_mat, _, n_strategies = _lp_system(phen, grid)
     if weights.shape != (n_strategies, len(grid.matrices)):
         raise ValueError(f"weights shape {weights.shape} does not match strategies x grid")
-    outcomes = _strategy_block(counts, np.arange(n_strategies))
-    q_tables = grid.bob_tables(phen.strategy.bob)
-    rebuilt = []
-    for (a_idx, b_idx), table in zip(phen.strategy.pairing, phen.tables):
-        out = np.zeros_like(table.probs)
-        for k, outcome in enumerate(outcomes[a_idx]):
-            out[outcome] += weights[k] @ q_tables[b_idx].T
-        rebuilt.append(out)
-    return rebuilt
+    return _dual_blocks(phen, a_mat[:-1] @ weights.ravel())
 
 
 def feasibility_flip(

@@ -5,7 +5,10 @@ grids built as tuples of per-state DensityMatrix objects), which the array
 code in `steerkit.oracle` must match bit for bit; of the blocked strategy
 enumeration that `certify_steering` ran for every Bob before the plane
 arrangement, which the arrangement must match bit for bit, and of the Bob
-tables from a tuple grid stacked on every call; of the original Born rule
+tables from a tuple grid stacked on every call; of the removed second and
+third copies of the LP column map (the per-entry dual columns yᵀA and the
+per-strategy model tables A·w), which `y @ A` and `reproduce_tables` must
+match to 1e-12 in the scale of y and w; of the original Born rule
 (one np.kron and trace per effect pair), which `measure_joint` and
 `tensor_product` must match bit for bit; of the original one-table inference
 statistics (a Python loop over Alice's rows for the conditional means), which
@@ -77,6 +80,46 @@ def bob_probability_table(states, bob):
     """Q[b][B, l] = Tr[F_B^b ρ_l] from a tuple grid stacked anew on every call."""
     rhos = np.array([rho.matrix for rho in states])
     return [np.real(np.trace(np.array(m.effects)[:, None] @ rhos[None], axis1=-2, axis2=-1)) for m in bob]
+
+
+def grid_tables(grid, bob):
+    """Q[b][B, l] = Tr[F_B^b ρ_l] over a stacked grid, one trace per effect and state."""
+    return [
+        np.array([[np.real(np.trace(effect @ rho)) for rho in grid.matrices] for effect in meas.effects])
+        for meas in bob
+    ]
+
+
+def dual_columns(phen, grid, y):
+    """yᵀA as an array [strategy, grid state], one pairing entry at a time, without A.
+
+    Column (k, l) is the normalization multiplier plus, per pairing entry
+    (a, b), Σ_B y[k(a), B]·Q[b][B, l].
+    """
+    counts = [m.n_outcomes for m in phen.strategy.alice]
+    outcomes = np.unravel_index(np.arange(math.prod(counts)), counts)
+    q_tables = grid_tables(grid, phen.strategy.bob)
+    columns = np.full((len(outcomes[0]), len(grid.matrices)), y[-1])
+    row = 0
+    for (a_idx, b_idx), table in zip(phen.strategy.pairing, phen.tables):
+        y_block = y[row : row + table.probs.size].reshape(table.probs.shape)
+        columns += (y_block @ q_tables[b_idx])[outcomes[a_idx]]
+        row += table.probs.size
+    return columns
+
+
+def reproduce_tables(phen, grid, weights):
+    """The joint tables of a weight matrix w[strategy, grid state], one strategy at a time."""
+    counts = [m.n_outcomes for m in phen.strategy.alice]
+    outcomes = np.unravel_index(np.arange(math.prod(counts)), counts)
+    q_tables = grid_tables(grid, phen.strategy.bob)
+    rebuilt = []
+    for (a_idx, b_idx), table in zip(phen.strategy.pairing, phen.tables):
+        out = np.zeros_like(table.probs)
+        for k, outcome in enumerate(outcomes[a_idx]):
+            out[outcome] += weights[k] @ q_tables[b_idx].T
+        rebuilt.append(out)
+    return rebuilt
 
 
 def exact_bound(phen, functional, bob=None):

@@ -1,6 +1,7 @@
 """The array oracle reproduces the loops exactly, not to a tolerance.
 
-Only the dual columns, summed in another order than y @ A, carry one.
+Only y @ A and A·w carry one: the removed per-entry loops they are compared
+with sum in another order.
 """
 
 import math
@@ -393,6 +394,18 @@ class TestArrangement:
         assert calls == [n]
 
 
+def qutrit_phenomenon(rng):
+    spin = spin_operators(1.0)
+    meas = tuple(observable_to_measurement(op, label) for label, op in (("Jx", spin.jx), ("Jz", spin.jz)))
+    state = bipartite_from_matrix(random_density_matrix(rng, 9).matrix, 3, 3)
+    return phenomenon_from_state(state, all_pairs_strategy(meas, meas))
+
+
+def werner_mub_phenomenon(mu, n_mub=3):
+    meas = mub_qubit_measurements(n_mub)
+    return phenomenon_from_state(werner_state(mu), all_pairs_strategy(meas, meas))
+
+
 def assert_same_system(phen, grid):
     a_mat, b_vec, n_strategies = oracle._lp_system(phen, grid)
     ref_a, ref_b, ref_strategies = lp_system(phen, grid, phen.strategy.bob)
@@ -411,11 +424,7 @@ class TestLpSystem:
         assert_same_system(phen, qubit_grid(resolution))
 
     def test_qutrit_random_pure_grid(self, rng):
-        spin = spin_operators(1.0)
-        meas = tuple(observable_to_measurement(op, label) for label, op in (("Jx", spin.jx), ("Jz", spin.jz)))
-        state = bipartite_from_matrix(random_density_matrix(rng, 9).matrix, 3, 3)
-        phen = phenomenon_from_state(state, all_pairs_strategy(meas, meas))
-        assert_same_system(phen, random_pure_grid(3, 120))
+        assert_same_system(qutrit_phenomenon(rng), random_pure_grid(3, 120))
 
 
 class TestGrids:
@@ -434,6 +443,7 @@ class TestGrids:
         reference = loop_reference.bob_probability_table(loop_reference.qubit_grid(resolution), bob)
         for table, ref in zip(tables, reference, strict=True):
             assert table.tobytes() == ref.tobytes()
+            assert not table.flags.writeable
 
     @pytest.mark.parametrize("seed", [oracle.GRID_SEED, 7])
     @pytest.mark.parametrize("resolution", [1, 30, 800])
@@ -446,70 +456,94 @@ class TestGrids:
 
 def assert_dual_columns_match(phen, grid, y):
     a_mat = oracle._lp_system(phen, grid)[0]
-    columns = oracle._dual_columns(phen, grid, y)
+    columns = loop_reference.dual_columns(phen, grid, y)
     assert columns.shape == (a_mat.shape[1] // len(grid.matrices), len(grid.matrices))
     assert np.max(np.abs(columns.ravel() - y @ a_mat)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
 
-class TestDualColumns:
+class TestOneColumnMap:
+    """`_lp_system`'s A is the one column map: the dual check reads y @ A and the model check A·w."""
+
     @pytest.mark.parametrize("n_mub", [2, 3])
     @pytest.mark.parametrize("resolution", [50, 800])
-    def test_werner_mub(self, rng, n_mub, resolution):
-        meas = mub_qubit_measurements(n_mub)
-        phen = phenomenon_from_state(werner_state(0.9), all_pairs_strategy(meas, meas))
+    def test_dual_columns_werner_mub(self, rng, n_mub, resolution):
+        phen = werner_mub_phenomenon(0.9, n_mub)
         grid = qubit_grid(resolution)
         outcome = lhs_feasible(phen, grid)
         assert not outcome.feasible
         assert_dual_columns_match(phen, grid, outcome.dual)
         assert_dual_columns_match(phen, grid, 40.0 * rng.standard_normal(outcome.dual.shape))
 
-    def test_functional_from_dual_builds_no_lp(self, monkeypatch):
-        meas = mub_qubit_measurements(3)
-        phen = phenomenon_from_state(werner_state(0.9), all_pairs_strategy(meas, meas))
-        grid = qubit_grid(50)
-        outcome = lhs_feasible(phen, grid)
-
-        def no_lp(*args):
-            raise AssertionError("LP system rebuilt")
-
-        monkeypatch.setattr(oracle, "_lp_system", no_lp)
-        functional = oracle.functional_from_dual(phen, grid, outcome)
-        assert np.concatenate([c.ravel() for c in functional.coeffs]).tobytes() == outcome.dual[:-1].tobytes()
-
-    def test_one_bob_table_per_certify(self, monkeypatch):
-        meas = mub_qubit_measurements(3)
-        phen = phenomenon_from_state(werner_state(0.9), all_pairs_strategy(meas, meas))
-        reference = oracle._bob_probability_table(qubit_grid(50), meas)
-        built = []
-        reference_table = oracle._bob_probability_table
-
-        def counting_table(grid, bob):
-            built.append(bob)
-            return reference_table(grid, bob)
-
-        monkeypatch.setattr(oracle, "_bob_probability_table", counting_table)
-        grid = qubit_grid(50)
-        outcome = lhs_feasible(phen, grid)
-        oracle.functional_from_dual(phen, grid, outcome)
-        oracle.reproduce_tables(phen, grid, np.zeros((8, len(grid.matrices))))
-        assert len(built) == 1
-        for table, ref in zip(grid.bob_tables(meas), reference, strict=True):
-            assert table.tobytes() == ref.tobytes()
-            assert not table.flags.writeable
-        # Other Bob measurements, or equal ones that are other objects, get their own table.
-        assert len(grid.bob_tables(meas[:2])) == 2
-        fresh = tuple(observable_to_measurement(m.effects[0] - m.effects[1], m.label) for m in meas)
-        grid.bob_tables(fresh)
-        assert len(built) == 3
-        with pytest.raises(ValueError, match="dual fails"):
-            oracle.functional_from_dual(phen, qubit_grid(60), outcome)
-
-    def test_qutrit_random_pure_grid(self, rng):
-        spin = spin_operators(1.0)
-        meas = tuple(observable_to_measurement(op, label) for label, op in (("Jx", spin.jx), ("Jz", spin.jz)))
-        state = bipartite_from_matrix(random_density_matrix(rng, 9).matrix, 3, 3)
-        phen = phenomenon_from_state(state, all_pairs_strategy(meas, meas))
+    def test_dual_columns_qutrit_random_pure_grid(self, rng):
+        phen = qutrit_phenomenon(rng)
         grid = random_pure_grid(3, 120)
         n_rows = sum(t.probs.size for t in phen.tables) + 1
         for _ in range(3):
             assert_dual_columns_match(phen, grid, rng.standard_normal(n_rows))
+
+    def test_functional_is_the_dual(self):
+        phen = werner_mub_phenomenon(0.9)
+        grid = qubit_grid(50)
+        outcome = lhs_feasible(phen, grid)
+        functional = oracle.functional_from_dual(phen, grid, outcome)
+        assert np.concatenate([c.ravel() for c in functional.coeffs]).tobytes() == outcome.dual[:-1].tobytes()
+        with pytest.raises(ValueError, match="dual fails"):
+            oracle.functional_from_dual(phen, qubit_grid(60), outcome)
+
+    def test_rejects_nonpositive_dual_value(self):
+        # Shifting the normalization multiplier moves every column and y·b by
+        # the same amount: the columns stay ≤ 0, so only y·b ≤ 0 rejects.
+        phen = werner_mub_phenomenon(0.9)
+        grid = qubit_grid(50)
+        outcome = lhs_feasible(phen, grid)
+        a_mat, b_vec, _ = oracle._lp_system(phen, grid)
+        for y_b in (0.0, -1.0):
+            shifted = outcome.dual.copy()
+            shifted[-1] -= outcome.dual @ b_vec - y_b
+            assert np.max(shifted @ a_mat) <= 1e-7 and shifted @ b_vec <= 0
+            with pytest.raises(ValueError, match="dual fails"):
+                oracle.functional_from_dual(phen, grid, oracle.GridInfeasible(shifted, outcome.violation))
+
+    def test_rejects_dual_of_wrong_length(self):
+        phen = werner_mub_phenomenon(0.9)
+        grid = qubit_grid(50)
+        outcome = lhs_feasible(phen, grid)
+        for dual in (outcome.dual[:-1], np.append(outcome.dual, 0.0)):
+            with pytest.raises(ValueError, match=r"dual length \(\d+,\) does not match 37 constraints"):
+                oracle.functional_from_dual(phen, grid, oracle.GridInfeasible(dual, outcome.violation))
+
+    @pytest.mark.parametrize("shape", [(8, 50), (7, 51), (408,)])
+    def test_rejects_weights_of_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"weights shape .* does not match strategies x grid"):
+            oracle.reproduce_tables(werner_mub_phenomenon(0.4), qubit_grid(50), np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "mu, p",
+        [(0.4, 1.0), (0.3, 1.0), (0.45, 1.0), (0.3, 0.25), (0.3, 0.5), (0.3, 0.75)],
+    )
+    def test_model_tables_werner_witnesses(self, mu, p):
+        # The witnesses of TestFeasibility: Werner 0.4 on 200 states, and
+        # blends of the 0.3 and 0.45 models on 150.
+        grid = qubit_grid(200 if mu == 0.4 else 150)
+        weights = lhs_feasible(werner_mub_phenomenon(mu), grid).weights
+        phen = werner_mub_phenomenon(mu)
+        if p < 1.0:
+            other = lhs_feasible(werner_mub_phenomenon(0.45), grid).weights
+            weights = p * weights + (1 - p) * other
+            phen = oracle.mix_phenomena(p, phen, werner_mub_phenomenon(0.45))
+        assert_model_tables_match(phen, grid, weights)
+
+    def test_model_tables_qutrit_witness(self):
+        spin1 = spin_operators(1.0)
+        meas = [observable_to_measurement(spin1.jz, "Jz1"), observable_to_measurement(spin1.jx, "Jx1")]
+        phen = phenomenon_from_state(bipartite_from_matrix(np.eye(9) / 9, 3, 3), all_pairs_strategy(meas, meas))
+        grid = random_pure_grid(3, 30)
+        assert_model_tables_match(phen, grid, lhs_feasible(phen, grid).weights)
+
+
+def assert_model_tables_match(phen, grid, weights):
+    rebuilt = oracle.reproduce_tables(phen, grid, weights)
+    reference = loop_reference.reproduce_tables(phen, grid, weights)
+    for got, ref, table in zip(rebuilt, reference, phen.tables, strict=True):
+        assert got.shape == table.probs.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12
