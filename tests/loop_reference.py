@@ -82,14 +82,6 @@ def bob_probability_table(states, bob):
     return [np.real(np.trace(np.array(m.effects)[:, None] @ rhos[None], axis1=-2, axis2=-1)) for m in bob]
 
 
-def grid_tables(grid, bob):
-    """Q[b][B, l] = Tr[F_B^b ρ_l] over a stacked grid, one trace per effect and state."""
-    return [
-        np.array([[np.real(np.trace(effect @ rho)) for rho in grid.matrices] for effect in meas.effects])
-        for meas in bob
-    ]
-
-
 def dual_columns(phen, grid, y):
     """yᵀA as an array [strategy, grid state], one pairing entry at a time, without A.
 
@@ -98,7 +90,7 @@ def dual_columns(phen, grid, y):
     """
     counts = [m.n_outcomes for m in phen.strategy.alice]
     outcomes = np.unravel_index(np.arange(math.prod(counts)), counts)
-    q_tables = grid_tables(grid, phen.strategy.bob)
+    q_tables = bob_probability_table([DensityMatrix(rho) for rho in grid.matrices], phen.strategy.bob)
     columns = np.full((len(outcomes[0]), len(grid.matrices)), y[-1])
     row = 0
     for (a_idx, b_idx), table in zip(phen.strategy.pairing, phen.tables):
@@ -112,7 +104,7 @@ def reproduce_tables(phen, grid, weights):
     """The joint tables of a weight matrix w[strategy, grid state], one strategy at a time."""
     counts = [m.n_outcomes for m in phen.strategy.alice]
     outcomes = np.unravel_index(np.arange(math.prod(counts)), counts)
-    q_tables = grid_tables(grid, phen.strategy.bob)
+    q_tables = bob_probability_table([DensityMatrix(rho) for rho in grid.matrices], phen.strategy.bob)
     rebuilt = []
     for (a_idx, b_idx), table in zip(phen.strategy.pairing, phen.tables):
         out = np.zeros_like(table.probs)

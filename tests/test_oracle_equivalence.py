@@ -461,6 +461,14 @@ def assert_dual_columns_match(phen, grid, y):
     assert np.max(np.abs(columns.ravel() - y @ a_mat)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
 
+def assert_model_tables_match(phen, grid, weights):
+    rebuilt = oracle.reproduce_tables(phen, grid, weights)
+    reference = loop_reference.reproduce_tables(phen, grid, weights)
+    for got, ref, table in zip(rebuilt, reference, phen.tables, strict=True):
+        assert got.shape == table.probs.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
 class TestOneColumnMap:
     """`_lp_system`'s A is the one column map: the dual check reads y @ A and the model check A·w."""
 
@@ -517,21 +525,18 @@ class TestOneColumnMap:
         with pytest.raises(ValueError, match=r"weights shape .* does not match strategies x grid"):
             oracle.reproduce_tables(werner_mub_phenomenon(0.4), qubit_grid(50), np.zeros(shape))
 
-    @pytest.mark.parametrize(
-        "mu, p",
-        [(0.4, 1.0), (0.3, 1.0), (0.45, 1.0), (0.3, 0.25), (0.3, 0.5), (0.3, 0.75)],
-    )
-    def test_model_tables_werner_witnesses(self, mu, p):
-        # The witnesses of TestFeasibility: Werner 0.4 on 200 states, and
-        # blends of the 0.3 and 0.45 models on 150.
-        grid = qubit_grid(200 if mu == 0.4 else 150)
-        weights = lhs_feasible(werner_mub_phenomenon(mu), grid).weights
-        phen = werner_mub_phenomenon(mu)
-        if p < 1.0:
-            other = lhs_feasible(werner_mub_phenomenon(0.45), grid).weights
-            weights = p * weights + (1 - p) * other
-            phen = oracle.mix_phenomena(p, phen, werner_mub_phenomenon(0.45))
-        assert_model_tables_match(phen, grid, weights)
+    def test_model_tables_werner_witness(self):
+        phen = werner_mub_phenomenon(0.4)
+        grid = qubit_grid(200)
+        assert_model_tables_match(phen, grid, lhs_feasible(phen, grid).weights)
+
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_model_tables_blended_witnesses(self, p):
+        # As in TestFeasibility: the blend of two models is a model of the mixture.
+        grid = qubit_grid(150)
+        first, second = werner_mub_phenomenon(0.3), werner_mub_phenomenon(0.45)
+        weights = p * lhs_feasible(first, grid).weights + (1 - p) * lhs_feasible(second, grid).weights
+        assert_model_tables_match(oracle.mix_phenomena(p, first, second), grid, weights)
 
     def test_model_tables_qutrit_witness(self):
         spin1 = spin_operators(1.0)
@@ -540,10 +545,3 @@ class TestOneColumnMap:
         grid = random_pure_grid(3, 30)
         assert_model_tables_match(phen, grid, lhs_feasible(phen, grid).weights)
 
-
-def assert_model_tables_match(phen, grid, weights):
-    rebuilt = oracle.reproduce_tables(phen, grid, weights)
-    reference = loop_reference.reproduce_tables(phen, grid, weights)
-    for got, ref, table in zip(rebuilt, reference, phen.tables, strict=True):
-        assert got.shape == table.probs.shape
-        assert np.max(np.abs(got - ref)) <= 1e-12
