@@ -83,6 +83,22 @@ CASES.append(
         "oracle-cube4.cert.json",
     )
 )
+# Phenomena with joint probabilities at or within 1e-7 of zero: the singlet's,
+# and Werner one part in 1e8 short of it. HiGHS's presolve reduces these LPs.
+CASES.append(
+    (
+        "oracle-singlet.txt",
+        ["oracle", "--family", "singlet", "--measurements", "mub3", "--grid", "200", "--certify"],
+        "oracle-singlet.cert.json",
+    )
+)
+CASES.append(
+    (
+        "oracle-werner-near-one.txt",
+        [*_ORACLE_WERNER, "--mu", "0.99999999", "--measurements", "mub2", "--grid", "200", "--certify"],
+        "oracle-werner-near-one.cert.json",
+    )
+)
 
 
 CASES.append(("criteria-list.csv", ["criteria", "list"], None))
