@@ -54,6 +54,15 @@ TIE_RTOL = 1e-9
 VERTEX_BRANCH_CAP = 8
 # Per-constraint slack band absorbed as feasible (floating-point residue).
 SLACK_BAND = 1e-9
+# HiGHS's presolve runs only when some right-hand side is at or below this.
+# With every one at least 1e-7, HiGHS's feasibility tolerance, it reduced
+# none of 228 grid LPs (Werner mub2/mub3 on grids 1-3000 from mu 0 to
+# 1 - 4e-7, random qubit directions, trines, cube diagonals, spin-1 on a
+# qutrit grid); skipping it gave bit-identical status, violation, weights,
+# duals and iteration counts in about 60% of the solve time. Below 1e-7 it
+# reduced all 51 tried (Werner from mu = 1 - 2e-7 to 1, where the singlet's
+# tables have zeros) and moved the last bits of the dual.
+PRESOLVE_RHS_FLOOR = 1e-6
 # A certificate requires the observed value to clear the exact bound by this.
 CERTIFY_MARGIN = 1e-9
 # Fixed seed for the unitary-invariant pure-state grids in dimension > 2.
@@ -297,7 +306,8 @@ def lhs_feasible(phen: Phenomenon, grid: HiddenStateGrid) -> GridFeasible | Grid
     n_rows, n_cols = a_mat.shape
     cost = np.concatenate([np.zeros(n_cols), np.ones(2 * n_rows)])
     a_eq = np.hstack([a_mat, np.eye(n_rows), -np.eye(n_rows)])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_vec, bounds=(0, None), method="highs")
+    options = {"presolve": False} if b_vec.min() > PRESOLVE_RHS_FLOOR else None
+    res = linprog(cost, A_eq=a_eq, b_eq=b_vec, bounds=(0, None), method="highs", options=options)
     if res.status != 0:
         raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
     violation = float(res.fun)
@@ -358,6 +368,8 @@ def functional_from_dual(
     y = np.asarray(infeasible.dual, dtype=float)
     if y.shape != b_vec.shape:
         raise ValueError(f"dual length {y.shape} does not match {b_vec.size} constraints")
+    if not np.isfinite(y).all():
+        raise ValueError("dual must be finite")
     scale = max(1.0, float(np.max(np.abs(y))))
     if float(np.max(y @ a_mat)) > 1e-7 * scale or float(y @ b_vec) <= 0:
         raise ValueError("dual fails the grid-level separation check")

@@ -2,7 +2,9 @@
 
 Compact copies of the oracle's original scalar loops (exact bound, LP system,
 grids built as tuples of per-state DensityMatrix objects), which the array
-code in `steerkit.oracle` must match bit for bit; of the blocked strategy
+code in `steerkit.oracle` must match bit for bit; of the LP solve with
+HiGHS's presolve always on, whose verdicts, residuals, weights and duals
+`lhs_feasible` must match bit for bit; of the blocked strategy
 enumeration that `certify_steering` ran for every Bob before the plane
 arrangement, which the arrangement must match bit for bit, and of the Bob
 tables from a tuple grid stacked on every call; of the removed second and
@@ -47,6 +49,7 @@ from steerkit.criteria import (
 )
 from steerkit.gaussian import P_A, P_B, X_A, X_B, GaussianState, linear_combination_variance
 from steerkit.measurements import PROB_FLOOR, JointDistribution
+from steerkit.oracle import SLACK_BAND, GridFeasible, GridInfeasible, _lp_system
 
 
 def lp_system(phen, grid, bob):
@@ -74,6 +77,27 @@ def lp_system(phen, grid, bob):
     a_mat[row, :] = 1.0
     b_vec[row] = 1.0
     return a_mat, b_vec, strategies
+
+
+def lhs_feasible_presolved(phen, grid):
+    """`oracle.lhs_feasible` with HiGHS's presolve on for every system."""
+    from scipy.optimize import linprog
+
+    a_mat, b_vec, n_strategies = _lp_system(phen, grid)
+    n_rows, n_cols = a_mat.shape
+    cost = np.concatenate([np.zeros(n_cols), np.ones(2 * n_rows)])
+    a_eq = np.hstack([a_mat, np.eye(n_rows), -np.eye(n_rows)])
+    res = linprog(cost, A_eq=a_eq, b_eq=b_vec, bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
+    violation = float(res.fun)
+    if violation <= SLACK_BAND * n_rows:
+        weights = res.x[:n_cols].reshape(n_strategies, len(grid.matrices))
+        return GridFeasible(weights=weights, residual=violation)
+    dual = np.asarray(res.eqlin.marginals, dtype=float)
+    if dual @ b_vec < 0:
+        dual = -dual
+    return GridInfeasible(dual=dual, violation=violation)
 
 
 def bob_probability_table(states, bob):

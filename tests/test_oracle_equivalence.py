@@ -5,6 +5,7 @@ with sum in another order.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,14 +15,16 @@ from hypothesis import strategies as st
 import loop_reference
 from loop_reference import exact_bound, exact_bound_blocks, lp_system
 from steerkit import oracle
+from steerkit.cli import read_measurement_file
 from steerkit.core import bipartite_from_matrix, spin_operators
-from steerkit.families import werner_state
+from steerkit.families import singlet_state, werner_state
 from steerkit.measurements import Measurement, MeasurementStrategy, all_pairs_strategy, observable_to_measurement
 from steerkit.oracle import (
     SteeringFunctional,
     certify_steering,
     lhs_feasible,
     linear_correlation_functional,
+    hidden_state_grid,
     mub_qubit_measurements,
     phenomenon_from_state,
     qubit_grid,
@@ -520,6 +523,16 @@ class TestOneColumnMap:
             with pytest.raises(ValueError, match=r"dual length \(\d+,\) does not match 37 constraints"):
                 oracle.functional_from_dual(phen, grid, oracle.GridInfeasible(dual, outcome.violation))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_dual(self, bad):
+        phen = werner_mub_phenomenon(0.9)
+        grid = qubit_grid(50)
+        outcome = lhs_feasible(phen, grid)
+        dual = outcome.dual.copy()
+        dual[-1] = bad
+        with pytest.raises(ValueError, match="dual must be finite"):
+            oracle.functional_from_dual(phen, grid, oracle.GridInfeasible(dual, outcome.violation))
+
     @pytest.mark.parametrize("shape", [(8, 50), (7, 51), (408,)])
     def test_rejects_weights_of_wrong_shape(self, shape):
         with pytest.raises(ValueError, match=r"weights shape .* does not match strategies x grid"):
@@ -545,3 +558,69 @@ class TestOneColumnMap:
         grid = random_pure_grid(3, 30)
         assert_model_tables_match(phen, grid, lhs_feasible(phen, grid).weights)
 
+
+
+def assert_same_solve(phen, grid):
+    got = lhs_feasible(phen, grid)
+    ref = loop_reference.lhs_feasible_presolved(phen, grid)
+    assert type(got) is type(ref)
+    if got.feasible:
+        assert got.residual == ref.residual
+        assert got.weights.tobytes() == ref.weights.tobytes()
+    else:
+        assert got.violation == ref.violation
+        assert got.dual.tobytes() == ref.dual.tobytes()
+    return got
+
+
+CUBE4 = read_measurement_file(str(Path(__file__).resolve().parent / "golden" / "cube4.measurements"))
+# The threshold T ± 0.02 (offsets, added in the test), and μ whose smallest table entry (1 - μ)/4 is 1e-5, 1e-6
+# and 1e-7: above, at and below PRESOLVE_RHS_FLOOR.
+WERNER_MUS = [
+    0.0, 0.3, pytest.param(-0.02, id="T-0.02"), pytest.param(0.02, id="T+0.02"), 0.9,
+    1 - 4e-5, 1 - 4e-6, 1 - 4e-7, 1.0,
+]
+
+
+class TestPresolveFloor:
+    """Skipping HiGHS's presolve above the floor changes no verdict, residual, weight or dual bit."""
+
+    @pytest.mark.parametrize("mu", WERNER_MUS)
+    @pytest.mark.parametrize("resolution", [1, 50, 200, 800])
+    @pytest.mark.parametrize("n_mub", [2, 3])
+    def test_werner_mub(self, n_mub, resolution, mu):
+        if mu in (-0.02, 0.02):
+            mu += 1 / math.sqrt(n_mub)
+        assert_same_solve(werner_mub_phenomenon(mu, n_mub), qubit_grid(resolution))
+
+    @pytest.mark.parametrize("mu", [0.6, 0.9])
+    def test_cube_diagonals(self, mu):
+        phen = phenomenon_from_state(werner_state(mu), all_pairs_strategy(CUBE4, CUBE4))
+        assert_same_solve(phen, qubit_grid(50))
+
+    def test_spin1_qutrit_grid(self, rng):
+        assert_same_solve(qutrit_phenomenon(rng), hidden_state_grid(3, 200))
+
+    def test_presolve_runs_only_at_small_rhs(self, monkeypatch):
+        import scipy.optimize
+
+        real_linprog = scipy.optimize.linprog
+        options = []
+
+        def spy(*args, **kwargs):
+            options.append(kwargs.get("options"))
+            return real_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        grid = qubit_grid(50)
+        threshold = 1 / math.sqrt(3)
+        for mu in (threshold - 0.02, threshold, threshold + 0.02, 1 - 4e-5):
+            assert_same_solve(werner_mub_phenomenon(mu), grid)
+        # Each solve ran twice: the library's call, then the reference's.
+        assert options == [{"presolve": False}, None] * 4
+        options.clear()
+        meas = mub_qubit_measurements(3)
+        singlet = phenomenon_from_state(singlet_state(), all_pairs_strategy(meas, meas))
+        for phen in (werner_mub_phenomenon(1 - 4e-7), werner_mub_phenomenon(1.0), singlet):
+            assert_same_solve(phen, grid)
+        assert options == [None, None] * 3
