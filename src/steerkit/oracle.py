@@ -54,14 +54,12 @@ TIE_RTOL = 1e-9
 VERTEX_BRANCH_CAP = 8
 # Per-constraint slack band absorbed as feasible (floating-point residue).
 SLACK_BAND = 1e-9
-# HiGHS's presolve runs only when some right-hand side is at or below this.
-# With every one at least 1e-7, HiGHS's feasibility tolerance, it reduced
-# none of 228 grid LPs (Werner mub2/mub3 on grids 1-3000 from mu 0 to
-# 1 - 4e-7, random qubit directions, trines, cube diagonals, spin-1 on a
-# qutrit grid); skipping it gave bit-identical status, violation, weights,
-# duals and iteration counts in about 60% of the solve time. Below 1e-7 it
-# reduced all 51 tried (Werner from mu = 1 - 2e-7 to 1, where the singlet's
-# tables have zeros) and moved the last bits of the dual.
+# HiGHS's presolve is skipped when every right-hand side is above this. With
+# all at least 1e-7, its feasibility tolerance, presolve reduced none of 228
+# grid LPs (Werner mub2/mub3 on grids 1-3000, random qubit axes, trines, cube
+# diagonals, spin-1 on qutrits), and skipping it left status, violation, x,
+# duals and nit bit-identical in ~60% of the time. Below 1e-7 (Werner from
+# mu = 1 - 2e-7, the singlet) it reduced all 51 tried and moved dual bits.
 PRESOLVE_RHS_FLOOR = 1e-6
 # A certificate requires the observed value to clear the exact bound by this.
 CERTIFY_MARGIN = 1e-9

@@ -22,9 +22,9 @@ from steerkit.measurements import Measurement, MeasurementStrategy, all_pairs_st
 from steerkit.oracle import (
     SteeringFunctional,
     certify_steering,
+    hidden_state_grid,
     lhs_feasible,
     linear_correlation_functional,
-    hidden_state_grid,
     mub_qubit_measurements,
     phenomenon_from_state,
     qubit_grid,
@@ -559,7 +559,6 @@ class TestOneColumnMap:
         assert_model_tables_match(phen, grid, lhs_feasible(phen, grid).weights)
 
 
-
 def assert_same_solve(phen, grid):
     got = lhs_feasible(phen, grid)
     ref = loop_reference.lhs_feasible_presolved(phen, grid)
@@ -570,12 +569,12 @@ def assert_same_solve(phen, grid):
     else:
         assert got.violation == ref.violation
         assert got.dual.tobytes() == ref.dual.tobytes()
-    return got
 
 
 CUBE4 = read_measurement_file(str(Path(__file__).resolve().parent / "golden" / "cube4.measurements"))
-# The threshold T ± 0.02 (offsets, added in the test), and μ whose smallest table entry (1 - μ)/4 is 1e-5, 1e-6
-# and 1e-7: above, at and below PRESOLVE_RHS_FLOOR.
+# The threshold T ± 0.02 (offsets, added in the test), and μ whose smallest
+# table entry (1 - μ)/4 is 1e-5, 1e-6 and 1e-7: above, at and below
+# PRESOLVE_RHS_FLOOR.
 WERNER_MUS = [
     0.0, 0.3, pytest.param(-0.02, id="T-0.02"), pytest.param(0.02, id="T+0.02"), 0.9,
     1 - 4e-5, 1 - 4e-6, 1 - 4e-7, 1.0,
