@@ -3,8 +3,9 @@
 Compact copies of the oracle's original scalar loops (exact bound, LP system,
 grids built as tuples of per-state DensityMatrix objects), which the array
 code in `steerkit.oracle` must match bit for bit; of the LP solve with
-HiGHS's presolve always on, whose verdicts, residuals, weights and duals
-`lhs_feasible` must match bit for bit; of the blocked strategy
+HiGHS's presolve on, whose residuals, weights and duals `lhs_feasible` must
+match bit for bit where every table entry is at least 1e-7, and whose
+verdicts it must match everywhere; of the blocked strategy
 enumeration that `certify_steering` ran for every Bob before the plane
 arrangement, which the arrangement must match bit for bit, and of the Bob
 tables from a tuple grid stacked on every call; of the removed second and
@@ -80,7 +81,7 @@ def lp_system(phen, grid, bob):
 
 
 def lhs_feasible_presolved(phen, grid):
-    """`oracle.lhs_feasible` with HiGHS's presolve on for every system."""
+    """`oracle.lhs_feasible` with HiGHS's presolve on, as `linprog` runs it by default."""
     from scipy.optimize import linprog
 
     a_mat, b_vec, n_strategies = _lp_system(phen, grid)

@@ -84,7 +84,8 @@ CASES.append(
     )
 )
 # Phenomena with joint probabilities at or within 1e-7 of zero: the singlet's,
-# and Werner one part in 1e8 short of it. HiGHS's presolve reduces these LPs.
+# and Werner one part in 1e8 short of it. HiGHS's presolve would reduce these
+# LPs, and the oracle skips it, so the last bits of these numbers depend on that.
 CASES.append(
     (
         "oracle-singlet.txt",

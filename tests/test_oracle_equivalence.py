@@ -573,16 +573,16 @@ def assert_same_solve(phen, grid):
 
 CUBE4 = read_measurement_file(str(Path(__file__).resolve().parent / "golden" / "cube4.measurements"))
 # The threshold T ± 0.02 (offsets, added in the test), and μ whose smallest
-# table entry (1 - μ)/4 is 1e-5, 1e-6 and 1e-7: above, at and below
-# PRESOLVE_RHS_FLOOR.
+# table entry (1 - μ)/4 is 1e-5, 1e-6 and 1e-7, the last at HiGHS's
+# feasibility tolerance.
 WERNER_MUS = [
     0.0, 0.3, pytest.param(-0.02, id="T-0.02"), pytest.param(0.02, id="T+0.02"), 0.9,
-    1 - 4e-5, 1 - 4e-6, 1 - 4e-7, 1.0,
+    1 - 4e-5, 1 - 4e-6, 1 - 4e-7,
 ]
 
 
-class TestPresolveFloor:
-    """Skipping HiGHS's presolve above the floor changes no verdict, residual, weight or dual bit."""
+class TestPresolveOff:
+    """Skipping HiGHS's presolve changes no verdict; where presolve reduces nothing, no bit."""
 
     @pytest.mark.parametrize("mu", WERNER_MUS)
     @pytest.mark.parametrize("resolution", [1, 50, 200, 800])
@@ -600,7 +600,28 @@ class TestPresolveFloor:
     def test_spin1_qutrit_grid(self, rng):
         assert_same_solve(qutrit_phenomenon(rng), hidden_state_grid(3, 200))
 
-    def test_presolve_runs_only_at_small_rhs(self, monkeypatch):
+    @pytest.mark.parametrize("mu", [1 - 1e-8, 1.0, pytest.param(None, id="singlet")])
+    @pytest.mark.parametrize("resolution", [1, 50, 200, 800])
+    @pytest.mark.parametrize("n_mub", [2, 3])
+    def test_zero_table_entries(self, n_mub, resolution, mu):
+        # Presolve reduces these LPs, and the two solves may return different
+        # optimal duals (at grid 1 they do), so only the verdicts must agree.
+        if mu is None:
+            meas = mub_qubit_measurements(n_mub)
+            phen = phenomenon_from_state(singlet_state(), all_pairs_strategy(meas, meas))
+        else:
+            phen = werner_mub_phenomenon(mu, n_mub)
+        grid = qubit_grid(resolution)
+        got = lhs_feasible(phen, grid)
+        ref = loop_reference.lhs_feasible_presolved(phen, grid)
+        assert not got.feasible and not ref.feasible
+        assert got.violation == pytest.approx(ref.violation, rel=1e-12)
+        got_cert, ref_cert = (
+            certify_steering(phen, oracle.functional_from_dual(phen, grid, result)) for result in (got, ref)
+        )
+        assert got_cert.certified == ref_cert.certified
+
+    def test_presolve_always_off(self, monkeypatch):
         import scipy.optimize
 
         real_linprog = scipy.optimize.linprog
@@ -611,15 +632,9 @@ class TestPresolveFloor:
             return real_linprog(*args, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "linprog", spy)
-        grid = qubit_grid(50)
-        threshold = 1 / math.sqrt(3)
-        for mu in (threshold - 0.02, threshold, threshold + 0.02, 1 - 4e-5):
-            assert_same_solve(werner_mub_phenomenon(mu), grid)
-        # Each solve ran twice: the library's call, then the reference's.
-        assert options == [{"presolve": False}, None] * 4
-        options.clear()
         meas = mub_qubit_measurements(3)
         singlet = phenomenon_from_state(singlet_state(), all_pairs_strategy(meas, meas))
-        for phen in (werner_mub_phenomenon(1 - 4e-7), werner_mub_phenomenon(1.0), singlet):
-            assert_same_solve(phen, grid)
-        assert options == [None, None] * 3
+        for mu in (0.5, 1 - 4e-5, 1.0):
+            lhs_feasible(werner_mub_phenomenon(mu), qubit_grid(50))
+        lhs_feasible(singlet, qubit_grid(50))
+        assert options == [{"presolve": False}] * 4
