@@ -13,7 +13,6 @@ from .core import (
     SpinOperators,
     bipartite_from_matrix,
     expectation,
-    hermitian_eigensystem,
     partial_trace,
     spin_operators,
     tensor_product,
@@ -31,11 +30,9 @@ from .families import (
 )
 from .gaussian import GaussianState, SymmetricTwoModeParams, symmetric_two_mode
 from .measurements import (
-    Assemblage,
     JointDistribution,
     Measurement,
     MeasurementStrategy,
-    assemblage_from_state,
     collective_variance,
     inference_variance,
     inferred_abs_mean,

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle as oracle_mod
-from .criteria import _COLLECTIVE_VARIANTS, CATALOG, evaluate
+from .criteria import CATALOG, evaluate
 from .families import FAMILIES, boundary_bisect, make_state, sweep
 from .gaussian import (
     boundary_collective_steering_mu,
@@ -140,7 +140,7 @@ def _criterion_params(args: argparse.Namespace, swept: str | None) -> dict[str, 
         raise UsageError(f"{criterion_id} needs explicit convex terms; use the library API")
     if info.kind != FAMILIES[family].kind:
         raise UsageError(f"criterion {criterion_id!r} is not applicable to family {family!r}")
-    if args.gain_mode is not None and criterion_id not in set(_COLLECTIVE_VARIANTS.values()):
+    if args.gain_mode is not None and info.gain_mode is None:
         raise UsageError(f"--gain-mode applies only to the collective criteria, not to {criterion_id!r}")
     if swept is not None and swept not in FAMILIES[family].parameter_ranges:
         raise UsageError(f"family {family!r} has no parameter {swept!r}")

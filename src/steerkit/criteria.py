@@ -27,7 +27,6 @@ from .core import (
 from .gaussian import P_A, P_B, X_A, X_B, GaussianState, conditional_min_variance, linear_combination_variance
 from .measurements import (
     InferenceStatistics,
-    JointDistribution,
     Measurement,
     PROB_FLOOR,
     _check_pair_dimensions,
@@ -37,7 +36,6 @@ from .measurements import (
     collective_variance,
     effect_products,
     inference_statistics,
-    inferred_abs_mean,
     measure_joint,
     observable_to_measurement,
     operator_of,
@@ -171,20 +169,15 @@ class InferencePlan:
         return b_ops[0] @ b_ops[0] + b_ops[1] @ b_ops[1] + b_ops[2] @ b_ops[2]
 
 
-@functools.lru_cache(maxsize=8)
 def _spin_measurements(j: float, party: str) -> tuple[Measurement, Measurement, Measurement]:
-    """(Jx, Jy, Jz) of a spin-j party as measurements labelled J{axis}_{party}.
-
-    Built once per (j, party) and shared; Measurement effects are read-only.
-    """
+    """(Jx, Jy, Jz) of a spin-j party as measurements labelled J{axis}_{party}."""
     ops = spin_operators(j)
     return tuple(observable_to_measurement(ops.component(axis), f"J{axis}_{party}") for axis in "xyz")
 
 
 @functools.lru_cache(maxsize=8)
-def spin_triple_plan(j_alice: float, j_bob: float | None = None) -> InferencePlan:
+def spin_triple_plan(j_alice: float, j_bob: float) -> InferencePlan:
     """Plan measuring the same spin component (x, y, z) on both sides; built once per (j_alice, j_bob)."""
-    j_bob = j_alice if j_bob is None else j_bob
     alice, bob = _spin_measurements(j_alice, "A"), _spin_measurements(j_bob, "B")
     return InferencePlan(pairs=tuple(InferencePair(a, b) for a, b in zip(alice, bob)))
 
@@ -293,14 +286,9 @@ def eval_additive_sum_two(state: BipartiteState, plan: InferencePlan) -> Criteri
     return _result("sum-two", v1 + v2, abs_mean_inf, VIOLATED_IF_BELOW, details)
 
 
-def eval_additive_sum_three_spin(
-    state: BipartiteState, plan: InferencePlan, j: float | None = None
-) -> CriterionResult:
-    """Var_inf(Jx) + Var_inf(Jy) + Var_inf(Jz) ≥ j for a spin-j Bob."""
+def eval_additive_sum_three_spin(state: BipartiteState, plan: InferencePlan) -> CriterionResult:
+    """Var_inf(Jx) + Var_inf(Jy) + Var_inf(Jz) ≥ j for a spin-j Bob, j read from its dimension."""
     _require_three_pairs(plan, "sum-three-spin")
-    dim_j = round(2 * j) + 1 if j is not None else state.dim_b
-    if dim_j != state.dim_b:
-        raise ValueError(f"Bob dimension {state.dim_b} does not equal 2j+1 = {dim_j}")
     j_val = (state.dim_b - 1) / 2
     _check_commutation(plan, cyclic=True)
     if np.max(np.abs(plan.casimir - j_val * (j_val + 1) * np.eye(state.dim_b))) > COMMUTATION_TOL:
@@ -365,23 +353,13 @@ def eval_duan_simon(state: GaussianState) -> CriterionResult:
 class CollectiveTerm:
     """One Var(g·A + B) term.
 
-    For CV variants alice/bob are quadrature indices into the covariance
-    matrix; for spin/arbitrary variants they are observable matrices.
+    For the CV criteria alice/bob are quadrature indices into the covariance
+    matrix; for collective-spin-sum they are observable matrices.
     """
 
     alice: int | np.ndarray
     bob: int | np.ndarray
     gain: float = 1.0
-
-
-# Collective variant -> the criterion id its results carry.
-_COLLECTIVE_VARIANTS = {
-    "product-cv": "collective-cv-product",
-    "sum-cv": "collective-cv-sum",
-    "sum-spin": "collective-spin-sum",
-    "product-arb": "collective-arb-product",
-    "sum-arb": "collective-arb-sum",
-}
 
 
 def _collective_term_variance(
@@ -417,28 +395,27 @@ def _collective_term_variance(
 def eval_collective(
     state: GaussianState | BipartiteState,
     terms: Sequence[CollectiveTerm],
-    variant: str,
+    criterion_id: str,
     gain_mode: str = "fixed",
-    inference_pair: InferencePair | None = None,
 ) -> CriterionResult:
-    """Criteria built from collective variances Var(g_k·A_k + B_k).
+    """The collective criteria, built from variances Var(g_k·A_k + B_k).
 
-    Bounds per variant: 1 for product-cv (product of standard deviations),
-    2 for sum-cv, the spin quantum number j for sum-spin, and |<B3>|_inf
-    (halved for the product form) for the arbitrary-observable variants,
-    which therefore need an extra inference pair for B3.
+    criterion_id is collective-cv-sum (bound 2), collective-cv-product
+    (product of standard deviations, bound 1) or collective-spin-sum (three
+    terms, bound the spin quantum number j).
     """
-    if variant not in _COLLECTIVE_VARIANTS:
-        raise ValueError(f"unknown collective variant {variant!r}")
+    if criterion_id not in ("collective-cv-sum", "collective-cv-product", "collective-spin-sum"):
+        raise ValueError(f"unknown collective criterion {criterion_id!r}")
     if gain_mode not in ("fixed", "optimize"):
         raise ValueError(f"gain_mode must be 'fixed' or 'optimize', got {gain_mode!r}")
-    expected_terms = 3 if variant == "sum-spin" else 2
+    spin = criterion_id == "collective-spin-sum"
+    expected_terms = 3 if spin else 2
     if len(terms) != expected_terms:
-        raise ValueError(f"variant {variant} needs {expected_terms} terms, got {len(terms)}")
-    if variant.endswith("cv") and not isinstance(state, GaussianState):
-        raise ValueError(f"variant {variant} needs a Gaussian state")
-    if not variant.endswith("cv") and not isinstance(state, BipartiteState):
-        raise ValueError(f"variant {variant} needs a finite-dimensional bipartite state")
+        raise ValueError(f"{criterion_id} needs {expected_terms} terms, got {len(terms)}")
+    if not spin and not isinstance(state, GaussianState):
+        raise ValueError(f"{criterion_id} needs a Gaussian state")
+    if spin and not isinstance(state, BipartiteState):
+        raise ValueError(f"{criterion_id} needs a finite-dimensional bipartite state")
 
     details: dict[str, float | str] = {"gain_mode": gain_mode}
     variances = []
@@ -448,25 +425,15 @@ def eval_collective(
         details[f"gain_{i + 1}"] = gain
         details[f"collective_variance_{i + 1}"] = var
 
-    if variant == "sum-cv":
+    if criterion_id == "collective-cv-sum":
         lhs, bound = sum(variances), 2.0
-    elif variant == "product-cv":
+    elif criterion_id == "collective-cv-product":
         lhs, bound = math.sqrt(variances[0]) * math.sqrt(variances[1]), 1.0
-    elif variant == "sum-spin":
+    else:
         j_val = (state.dim_b - 1) / 2
         details["spin_j"] = j_val
         lhs, bound = sum(variances), j_val
-    else:
-        if inference_pair is None:
-            raise ValueError(f"variant {variant} needs an inference pair for the bound observable")
-        joint = measure_joint(state, inference_pair.alice, inference_pair.bob)
-        abs_mean_inf = inferred_abs_mean(joint)
-        details["inferred_abs_mean_3"] = abs_mean_inf
-        if variant == "sum-arb":
-            lhs, bound = sum(variances), abs_mean_inf
-        else:
-            lhs, bound = math.sqrt(variances[0]) * math.sqrt(variances[1]), 0.5 * abs_mean_inf
-    return _result(_COLLECTIVE_VARIANTS[variant], lhs, bound, VIOLATED_IF_BELOW, details)
+    return _result(criterion_id, lhs, bound, VIOLATED_IF_BELOW, details)
 
 
 @functools.lru_cache(maxsize=8)
@@ -502,13 +469,10 @@ def eval_linear_qubit(state: BipartiteState, n_measurements: int) -> CriterionRe
     return _result(f"linear-{n_measurements}", abs(total), bound, VIOLATED_IF_ABOVE, details)
 
 
-def eval_linear_spin_j(state: BipartiteState, j: float | None = None) -> CriterionResult:
-    """|Σ_i <J_i^A J_i^B>| ≤ √3·j² for two spin-j subsystems."""
+def eval_linear_spin_j(state: BipartiteState) -> CriterionResult:
+    """|Σ_i <J_i^A J_i^B>| ≤ √3·j² for two spin-j subsystems, j read from their dimension."""
     if state.dim_a != state.dim_b:
         raise ValueError("linear-spin-j needs equal subsystem dimensions")
-    dim_j = round(2 * j) + 1 if j is not None else state.dim_b
-    if dim_j != state.dim_b:
-        raise ValueError(f"subsystem dimension {state.dim_b} does not equal 2j+1 = {dim_j}")
     j_val = (state.dim_b - 1) / 2
     total, details = _spin_correlation_sum(state, "xyz")
     details["spin_j"] = j_val
@@ -521,15 +485,12 @@ class ConvexTerm:
 
     f must be convex in its first argument over mean_interval for every Alice
     outcome; that is spot-checked on a 21-point grid at tolerance 1e-12.
-    Setting use_unconditional applies the weaker form f(<B_j>), valid when f
-    ignores its second argument.
     """
 
     alice: Measurement
     bob: Measurement
     f: Callable[[float, float], float]
     mean_interval: tuple[float, float]
-    use_unconditional: bool = False
 
 
 def check_convexity(term: ConvexTerm) -> None:
@@ -538,8 +499,7 @@ def check_convexity(term: ConvexTerm) -> None:
     if not hi >= lo:
         raise ValueError(f"invalid mean interval {term.mean_interval}")
     grid = np.linspace(lo, hi, CONVEXITY_GRID)
-    alphas = (0.0,) if term.use_unconditional else term.alice.values
-    for alpha in alphas:
+    for alpha in term.alice.values:
         f_vals = [term.f(float(t), float(alpha)) for t in grid]
         for i in range(CONVEXITY_GRID):
             for k in range(i + 2, CONVEXITY_GRID, 2):
@@ -552,9 +512,7 @@ def check_convexity(term: ConvexTerm) -> None:
 
 
 def eval_additive_convex(
-    source: BipartiteState | Sequence[JointDistribution],
-    terms: Sequence[ConvexTerm],
-    quantum_bound: float = 0.0,
+    state: BipartiteState, terms: Sequence[ConvexTerm], quantum_bound: float = 0.0
 ) -> CriterionResult:
     """General additive convex criterion Σ_j E_A[f_j(<B_j>_A, A)] ≤ bound.
 
@@ -567,23 +525,15 @@ def eval_additive_convex(
         raise ValueError("at least one convex term is required")
     for term in terms:
         check_convexity(term)
-    if isinstance(source, BipartiteState):
-        joints = [measure_joint(source, t.alice, t.bob) for t in terms]
-    else:
-        joints = list(source)
-        if len(joints) != len(terms):
-            raise ValueError(f"{len(joints)} joint distributions supplied for {len(terms)} terms")
     lhs = 0.0
     details: dict[str, float | str] = {}
-    for i, (term, joint) in enumerate(zip(terms, joints)):
-        if term.use_unconditional:
-            contribution = term.f(joint.mean_b(), 0.0)
-        else:
-            weights, means = _conditional_means(joint)
-            contribution = 0.0
-            for a_idx, w in enumerate(weights):
-                if w > PROB_FLOOR:
-                    contribution += w * term.f(float(means[a_idx]), joint.a_values[a_idx])
+    for i, term in enumerate(terms):
+        joint = measure_joint(state, term.alice, term.bob)
+        weights, means = _conditional_means(joint)
+        contribution = 0.0
+        for a_idx, w in enumerate(weights):
+            if w > PROB_FLOOR:
+                contribution += w * term.f(float(means[a_idx]), joint.a_values[a_idx])
         details[f"term_{i + 1}"] = contribution
         lhs += contribution
     return _result("custom-convex", lhs, quantum_bound, VIOLATED_IF_ABOVE, details)
@@ -611,6 +561,8 @@ class CriterionInfo:
     """Catalog descriptor: direction, human-readable formula and default evaluator.
 
     `evaluator` is None for criteria that need caller-supplied terms.
+    `gain_mode` is the default gain mode of the collective criteria, the only
+    ones that take one, and None on every other criterion.
     """
 
     criterion_id: str
@@ -620,6 +572,7 @@ class CriterionInfo:
     bound_desc: str
     note: str = ""
     evaluator: Evaluator | None = None
+    gain_mode: str | None = None
 
 
 CATALOG: dict[str, CriterionInfo] = {
@@ -658,25 +611,24 @@ CATALOG: dict[str, CriterionInfo] = {
             "collective-cv-sum", "cv", VIOLATED_IF_BELOW,
             "Var(gx*x_A + x_B) + Var(gp*p_A + p_B)", "2",
             "default gains (-1, +1)",
-            evaluator=lambda state, gain_mode: eval_collective(
-                state, _CV_TERMS, "sum-cv", gain_mode or "fixed"
-            ),
+            evaluator=lambda state, gain_mode: eval_collective(state, _CV_TERMS, "collective-cv-sum", gain_mode),
+            gain_mode="fixed",
         ),
         CriterionInfo(
             "collective-cv-product", "cv", VIOLATED_IF_BELOW,
             "D(gx*x_A + x_B) * D(gp*p_A + p_B)", "1",
             "default gains (-1, +1)",
-            evaluator=lambda state, gain_mode: eval_collective(
-                state, _CV_TERMS, "product-cv", gain_mode or "fixed"
-            ),
+            evaluator=lambda state, gain_mode: eval_collective(state, _CV_TERMS, "collective-cv-product", gain_mode),
+            gain_mode="fixed",
         ),
         CriterionInfo(
             "collective-spin-sum", "spin", VIOLATED_IF_BELOW,
             "sum_i Var(g_i*Ji_A + Ji_B)", "j",
             "gains optimized by default",
             evaluator=lambda state, gain_mode: eval_collective(
-                state, _spin_collective_terms(state), "sum-spin", gain_mode or "optimize"
+                state, _spin_collective_terms(state), "collective-spin-sum", gain_mode
             ),
+            gain_mode="optimize",
         ),
         CriterionInfo(
             "linear-2", "spin", VIOLATED_IF_ABOVE,
@@ -714,8 +666,8 @@ def evaluate(
     """Evaluate a cataloged criterion on a state with its default plan.
 
     Spin criteria use the same-component spin plan with conditional-mean
-    estimators; CV collective criteria default to fixed gains (-1, +1) while
-    collective-spin-sum optimizes its gains unless told otherwise.
+    estimators; a collective criterion uses its catalog gain_mode unless told
+    otherwise (fixed gains (-1, +1) for the CV ones, optimized for spin).
     """
     if criterion_id not in CATALOG:
         raise KeyError(f"unknown criterion {criterion_id!r}")
@@ -726,4 +678,4 @@ def evaluate(
         raise ValueError(f"criterion {criterion_id} needs a finite-dimensional bipartite state")
     if info.evaluator is None:
         raise ValueError(f"criterion {criterion_id} cannot be evaluated without explicit terms")
-    return info.evaluator(state, gain_mode)
+    return info.evaluator(state, gain_mode or info.gain_mode)

@@ -2,13 +2,12 @@
 
 Measurements pair outcome values with effect operators, so spin conventions
 (±1/2 vs ±1) are always explicit. Joint distributions, conditional variances,
-inference variances, inferred absolute means and assemblages computed here are
-the raw quantities every criterion consumes.
+inference variances and inferred absolute means computed here are the raw
+quantities every criterion consumes.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,13 +81,6 @@ class Measurement:
     @property
     def n_outcomes(self) -> int:
         return len(self.values)
-
-    @functools.cached_property
-    def effect_stack(self) -> np.ndarray:
-        """The effects as one read-only (n_outcomes, d, d) array, stacked on first use."""
-        stack = np.stack(self.effects)
-        stack.setflags(write=False)
-        return stack
 
 
 def operator_of(measurement: Measurement) -> np.ndarray:
@@ -214,7 +206,7 @@ def effect_products(a: Measurement, b: Measurement) -> np.ndarray:
     Each entry is the same complex multiply as in tensor_product, so each
     product has its bits.
     """
-    ea, fb = a.effect_stack, b.effect_stack
+    ea, fb = np.stack(a.effects), np.stack(b.effects)
     d = a.dim * b.dim
     products = ea[:, None, :, None, :, None] * fb[None, :, None, :, None, :]
     return products.reshape(a.n_outcomes, b.n_outcomes, d, d)
@@ -303,61 +295,3 @@ def collective_variance(
         np.eye(state.dim_a), b_obs
     )
     return variance(collective, state.matrix)
-
-
-@dataclass(frozen=True)
-class Assemblage:
-    """Unnormalized conditional states Alice's measurements prepare for Bob.
-
-    entries[a] lists (outcome value, unnormalized state) for Alice's a-th
-    measurement. The marginals Σ_A ρ̃_a^A must agree across a — otherwise the
-    data would let Alice signal to Bob.
-    """
-
-    entries: tuple[tuple[tuple[float, np.ndarray], ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("assemblage must contain at least one measurement")
-        marginals = []
-        frozen = []
-        for members in self.entries:
-            total = None
-            row = []
-            for value, rho in members:
-                rho = np.asarray(rho, dtype=complex)
-                if not is_hermitian(rho, ATOL_SPECTRAL):
-                    raise ValueError("assemblage member is not Hermitian")
-                if np.linalg.eigvalsh(rho).min() < -ATOL_SPECTRAL:
-                    raise ValueError("assemblage member is not PSD within 1e-9")
-                rho.setflags(write=False)
-                total = rho.copy() if total is None else total + rho
-                row.append((float(value), rho))
-            marginals.append(total)
-            frozen.append(tuple(row))
-        for m in marginals[1:]:
-            if np.max(np.abs(m - marginals[0])) > ATOL_SPECTRAL:
-                raise ValueError("assemblage marginals differ across Alice settings (signalling)")
-        object.__setattr__(self, "entries", tuple(frozen))
-
-    def marginal(self) -> np.ndarray:
-        return sum(rho for _, rho in self.entries[0])
-
-
-def assemblage_from_state(
-    state: BipartiteState, alice_measurements: tuple[Measurement, ...] | list[Measurement]
-) -> Assemblage:
-    """ρ̃_a^A = Tr_A[W (E_a^A ⊗ I)] for each Alice measurement and outcome."""
-    d_a, d_b = state.dim_a, state.dim_b
-    w = state.matrix.reshape(d_a, d_b, d_a, d_b)
-    entries = []
-    for meas in alice_measurements:
-        if meas.dim != d_a:
-            raise ValueError(f"Alice measurement {meas.label!r} dimension mismatch")
-        members = []
-        for value, effect in zip(meas.values, meas.effects):
-            # Tr_A[W (E ⊗ I)] = Σ_{i,k} E[k,i] W[i,:,k,:]
-            rho = np.einsum("ki,ijkl->jl", effect, w)
-            members.append((value, rho))
-        entries.append(tuple(members))
-    return Assemblage(entries=tuple(entries))

@@ -191,10 +191,10 @@ def random_pure_grid(dim: int, resolution: int, seed: int = GRID_SEED) -> Hidden
     return HiddenStateGrid(matrices=rhos, resolution=resolution)
 
 
-def hidden_state_grid(dim: int, resolution: int, seed: int = GRID_SEED) -> HiddenStateGrid:
+def hidden_state_grid(dim: int, resolution: int) -> HiddenStateGrid:
     if dim == 2:
         return qubit_grid(resolution)
-    return random_pure_grid(dim, resolution, seed)
+    return random_pure_grid(dim, resolution)
 
 
 def _strategy_count(outcome_counts: Sequence[int]) -> int:
@@ -222,7 +222,7 @@ def _bob_probability_table(grid: HiddenStateGrid, bob: Sequence[Measurement]) ->
     for meas in bob:
         if meas.dim != grid.dim:
             raise ValueError(f"Bob measurement {meas.label!r} dimension mismatch with grid")
-        products = meas.effect_stack[:, None] @ grid.matrices[None]
+        products = np.stack(meas.effects)[:, None] @ grid.matrices[None]
         table = np.real(np.trace(products, axis1=-2, axis2=-1))
         table.setflags(write=False)
         tables.append(table)
@@ -372,21 +372,18 @@ def functional_from_dual(
     return SteeringFunctional(coeffs=tuple(block.copy() for block in _dual_blocks(phen, y)))
 
 
-def linear_correlation_functional(
-    strategy: MeasurementStrategy, sign: float = -1.0
-) -> SteeringFunctional:
-    """The outcome-product functional sign·A·B on matched (a_i, b_i) pairs.
+def linear_correlation_functional(strategy: MeasurementStrategy) -> SteeringFunctional:
+    """The outcome-product functional -A·B on matched (a_i, b_i) pairs.
 
-    With sign -1 on anticorrelated data this encodes the linear spin
-    criteria; its exact hidden-state bound for three mutually unbiased qubit
-    measurements is √3/4.
+    On anticorrelated data this encodes the linear spin criteria; its exact
+    hidden-state bound for three mutually unbiased qubit measurements is √3/4.
     """
     blocks = []
     for a_idx, b_idx in strategy.pairing:
         a_vals = np.asarray(strategy.alice[a_idx].values)
         b_vals = np.asarray(strategy.bob[b_idx].values)
         if a_idx == b_idx:
-            blocks.append(sign * np.outer(a_vals, b_vals))
+            blocks.append(-np.outer(a_vals, b_vals))
         else:
             blocks.append(np.zeros((len(a_vals), len(b_vals))))
     return SteeringFunctional(coeffs=tuple(blocks))

@@ -19,7 +19,7 @@ the plan pass and `inference_statistics` must match bit for bit for fewer
 than eight Alice outcomes; of the criteria's original if-chain
 dispatch, which the `CATALOG` evaluators must match result for result; and
 of removed duplicates and options: the gain-based Reid product, which
-`eval_collective(..., "product-cv", "fixed")` must match bit for bit; the
+`eval_collective(..., "collective-cv-product", "fixed")` must match bit for bit; the
 per-row minimum inference variance, which `inference_variance` must match
 within PROB_FLOOR·max b²; and the linear and table estimators, whose
 variances no estimate may bring below `inference_variance` and whose linear
@@ -333,9 +333,9 @@ def evaluate_if_chain(criterion_id, state, gain_mode=None):
     if criterion_id == "duan-simon":
         return eval_duan_simon(state)
     if criterion_id == "collective-cv-sum":
-        return eval_collective(state, _cv_collective_terms(), "sum-cv", gain_mode or "fixed")
+        return eval_collective(state, _cv_collective_terms(), "collective-cv-sum", gain_mode or "fixed")
     if criterion_id == "collective-cv-product":
-        return eval_collective(state, _cv_collective_terms(), "product-cv", gain_mode or "fixed")
+        return eval_collective(state, _cv_collective_terms(), "collective-cv-product", gain_mode or "fixed")
 
     plan = default_spin_plan(state)
     if criterion_id == "product-spin":
@@ -352,7 +352,7 @@ def evaluate_if_chain(criterion_id, state, gain_mode=None):
         terms = [
             CollectiveTerm(ops_a.component(axis), ops.component(axis), 1.0) for axis in "xyz"
         ]
-        return eval_collective(state, terms, "sum-spin", gain_mode or "optimize")
+        return eval_collective(state, terms, "collective-spin-sum", gain_mode or "optimize")
     if criterion_id == "linear-2":
         return eval_linear_qubit(state, 2)
     if criterion_id == "linear-3":

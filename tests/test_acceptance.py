@@ -28,7 +28,6 @@ from steerkit.gaussian import (
     boundary_reid_steering_mu,
 )
 from steerkit.measurements import (
-    assemblage_from_state,
     inference_variance,
     inferred_abs_mean,
     measure_joint,
@@ -50,6 +49,7 @@ from steerkit.oracle import (
     reproduce_tables,
 )
 from util import (
+    assemblage_from_state,
     implication_trial,
     random_density_matrix,
     random_separable_two_qubit,

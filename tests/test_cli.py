@@ -1,16 +1,24 @@
 import argparse
+import ast
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from steerkit import cli, families
 from steerkit.cli import main, read_measurement_file, write_measurement_file
+from steerkit.criteria import CATALOG
 from steerkit.measurements import observable_to_measurement
 from steerkit.oracle import mub_qubit_measurements
 from util import cap_calls
+
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +285,27 @@ class TestGainMode:
         assert code == 0
         assert json.loads(out)["details"]["gain_mode"] == "fixed"
 
+    @pytest.mark.parametrize(
+        "criterion", [c for c, info in CATALOG.items() if info.evaluator is not None]
+    )
+    def test_catalog_alone_decides_who_takes_it(self, capsys, criterion):
+        # custom-convex has no evaluator, so the CLI refuses it before this check.
+        info = CATALOG[criterion]
+        family = self.WERNER if info.kind == "spin" else self.GAUSSIAN
+        code, out, err = run_cli(capsys, "eval", "--criterion", criterion, *family, "--gain-mode", "fixed")
+        pinned = (GOLDEN / "usage-gain-mode.stderr").read_text().replace("'linear-3'", repr(criterion))
+        if info.gain_mode is None:
+            assert (code, out, err) == (2, "", pinned)
+        else:
+            assert code == 0 and err == ""
+
+    def test_gain_mode_criteria_are_the_documented_three(self):
+        readme = (ROOT / "README.md").read_text()
+        bullet = readme[readme.index("- `--gain-mode fixed|optimize`"):]
+        documented = re.findall(r"`(collective-[a-z-]+)`", bullet[: bullet.index("\n- ")])
+        assert sorted(c for c, info in CATALOG.items() if info.gain_mode is not None) == sorted(documented)
+        assert len(documented) == 3
+
     def test_library_evaluate_still_ignores_it(self):
         from steerkit.criteria import evaluate
         from steerkit.families import werner_state
@@ -527,3 +556,19 @@ class TestOneParser:
             assert run_cli(capsys, *argv)[0] == 0
         assert len(built) == 1
         assert cli.build_parser() is built[0]
+
+
+def test_cli_reads_no_private_names_of_other_modules():
+    # Private names of criteria, oracle and the rest are theirs to change;
+    # the CLI reads their public names only (such as CriterionInfo.gain_mode).
+    tree = ast.parse((ROOT / "src" / "steerkit" / "cli.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+    # `from . import oracle as oracle_mod` binds a module; `from .criteria import CATALOG` a name.
+    modules = {alias.asname or alias.name for node in imports if node.module is None for alias in node.names}
+    private = [f"import {alias.name}" for node in imports for alias in node.names if alias.name.startswith("_")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if node.attr.startswith("_") and not node.attr.endswith("__"):
+                private.append(f"{node.value.id}.{node.attr}")
+    assert "oracle_mod" in modules
+    assert private == []

@@ -7,13 +7,11 @@ import loop_reference
 from steerkit.core import bipartite_from_matrix, spin_operators, tensor_product, variance
 from steerkit.families import singlet_state, werner_state
 from steerkit.measurements import (
-    Assemblage,
     JointDistribution,
     Measurement,
     MeasurementStrategy,
     PROB_FLOOR,
     _conditional_means,
-    assemblage_from_state,
     check_probability_tables,
     collective_variance,
     inference_variance,
@@ -21,7 +19,7 @@ from steerkit.measurements import (
     measure_joint,
     observable_to_measurement,
 )
-from util import random_density_matrix, random_two_qubit_state
+from util import Assemblage, assemblage_from_state, random_density_matrix, random_two_qubit_state
 
 SPIN = spin_operators(0.5)
 JZ_MEAS = observable_to_measurement(SPIN.jz, "Jz")

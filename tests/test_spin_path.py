@@ -208,7 +208,7 @@ class TestPlanPass:
         # first failing per-pair measure_joint raises.
         state = bipartite_from_matrix(np.eye(4) / 4, 2, 2)
         object.__setattr__(state.state, "matrix", np.diag(np.array(diagonal, dtype=complex)))
-        plan = spin_triple_plan(0.5)
+        plan = spin_triple_plan(0.5, 0.5)
         with pytest.raises(ValueError) as per_pair:
             for pair in plan.pairs:
                 measure_joint(state, pair.alice, pair.bob)
@@ -225,7 +225,7 @@ class TestPlanPass:
             eval_product_criterion(werner_state(0.5), spin_triple_plan(0.5, 1))
 
     def test_effect_products_shared_frozen_and_bitwise(self, monkeypatch):
-        plan = spin_triple_plan(1)
+        plan = spin_triple_plan(1, 1)
         (stack,) = plan.effect_products
         assert stack.indices == (0, 1, 2) and stack.products.shape == (3, 3, 3, 9, 9)
         assert stack.products.nbytes == 48 * 3**6
@@ -279,7 +279,7 @@ class TestCachedSpinObjects:
             spin_operators(0.3)
 
     def test_plan_measurements_shared_and_frozen(self):
-        first, second = spin_triple_plan(0.5), spin_triple_plan(0.5)
+        first, second = spin_triple_plan(0.5, 0.5), spin_triple_plan(0.5, 0.5)
         for i in range(3):
             assert first.pairs[i].bob is second.pairs[i].bob
             assert first.pairs[i].alice is second.pairs[i].alice
@@ -300,7 +300,7 @@ class TestCachedSpinObjects:
         assert_read_only(singlet_state().matrix)
 
     def test_plans_shared(self):
-        assert spin_triple_plan(0.5) is spin_triple_plan(0.5)
+        assert spin_triple_plan(0.5, 0.5) is spin_triple_plan(0.5, 0.5)
         assert default_spin_plan(werner_state(0.3)) is default_spin_plan(werner_state(0.9))
         plan = spin_triple_plan(1, 0.5)
         assert plan is spin_triple_plan(1, 0.5)
@@ -317,7 +317,7 @@ class TestCachedSpinObjects:
         "evaluator", [eval_product_criterion, eval_bowen, eval_additive_sum_two, eval_additive_sum_three_spin]
     )
     def test_noncommuting_plan_raises_on_every_call(self, evaluator):
-        pairs = spin_triple_plan(0.5).pairs
+        pairs = spin_triple_plan(0.5, 0.5).pairs
         broken = InferencePlan(pairs=(pairs[0], pairs[0], pairs[2]))
         for mu in (0.5, 0.5, 0.9):
             with pytest.raises(ValueError, match="commutation check failed"):
@@ -328,7 +328,7 @@ class TestCachedSpinObjects:
         # but b1² + b2² + b3² is not 2·I, so they are no spin-1 triple.
         ops = spin_operators(0.5)
         padded = [np.pad(ops.component(axis), ((0, 1), (0, 1))) for axis in "xyz"]
-        pairs = spin_triple_plan(1).pairs
+        pairs = spin_triple_plan(1, 1).pairs
         plan = InferencePlan(
             pairs=tuple(
                 InferencePair(p.alice, observable_to_measurement(op, f"b{axis}"))
@@ -339,16 +339,6 @@ class TestCachedSpinObjects:
         for _ in range(3):
             with pytest.raises(ValueError, match="not a spin-1.0 triple"):
                 eval_additive_sum_three_spin(random_state(rng, 3, 3), plan)
-
-    def test_effect_stack_frozen_and_bitwise(self):
-        spin1 = observable_to_measurement(spin_operators(1).jx, "Jx")
-        for meas in (*mub_qubit_measurements(3), trine_povm(), JZ_MEAS, spin1):
-            stack = meas.effect_stack
-            assert stack is meas.effect_stack
-            assert_read_only(stack[0])
-            fresh = np.stack(meas.effects)
-            assert stack.dtype == fresh.dtype and stack.shape == fresh.shape
-            assert stack.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("j_a, j_b", [(0.5, 0.5), (1, 1), (1, 0.5), (1.5, 1)])
     def test_correlation_products_bitwise(self, j_a, j_b):

@@ -1,13 +1,22 @@
-"""Shared random-state and random-measurement helpers for the test suite."""
+"""Shared random-state and random-measurement helpers, and the assemblage of criterion 8, for the test suite."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from steerkit.core import BipartiteState, DensityMatrix, bipartite_from_matrix, spin_operators
+from steerkit.core import (
+    ATOL_SPECTRAL,
+    BipartiteState,
+    DensityMatrix,
+    bipartite_from_matrix,
+    is_hermitian,
+    spin_operators,
+)
 from steerkit.criteria import InferencePair, InferencePlan
 from steerkit.families import werner_state
-from steerkit.measurements import observable_to_measurement
+from steerkit.measurements import Measurement, observable_to_measurement
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
@@ -124,3 +133,61 @@ def cap_calls(monkeypatch, module, name: str, cap: int) -> list[int]:
 
     monkeypatch.setattr(module, name, capped)
     return calls
+
+
+@dataclass(frozen=True)
+class Assemblage:
+    """Unnormalized conditional states Alice's measurements prepare for Bob.
+
+    entries[a] lists (outcome value, unnormalized state) for Alice's a-th
+    measurement. The marginals Σ_A ρ̃_a^A must agree across a — otherwise the
+    data would let Alice signal to Bob.
+    """
+
+    entries: tuple[tuple[tuple[float, np.ndarray], ...], ...]
+
+    def __post_init__(self) -> None:
+        if not self.entries:
+            raise ValueError("assemblage must contain at least one measurement")
+        marginals = []
+        frozen = []
+        for members in self.entries:
+            total = None
+            row = []
+            for value, rho in members:
+                rho = np.asarray(rho, dtype=complex)
+                if not is_hermitian(rho, ATOL_SPECTRAL):
+                    raise ValueError("assemblage member is not Hermitian")
+                if np.linalg.eigvalsh(rho).min() < -ATOL_SPECTRAL:
+                    raise ValueError("assemblage member is not PSD within 1e-9")
+                rho.setflags(write=False)
+                total = rho.copy() if total is None else total + rho
+                row.append((float(value), rho))
+            marginals.append(total)
+            frozen.append(tuple(row))
+        for m in marginals[1:]:
+            if np.max(np.abs(m - marginals[0])) > ATOL_SPECTRAL:
+                raise ValueError("assemblage marginals differ across Alice settings (signalling)")
+        object.__setattr__(self, "entries", tuple(frozen))
+
+    def marginal(self) -> np.ndarray:
+        return sum(rho for _, rho in self.entries[0])
+
+
+def assemblage_from_state(
+    state: BipartiteState, alice_measurements: tuple[Measurement, ...] | list[Measurement]
+) -> Assemblage:
+    """ρ̃_a^A = Tr_A[W (E_a^A ⊗ I)] for each Alice measurement and outcome."""
+    d_a, d_b = state.dim_a, state.dim_b
+    w = state.matrix.reshape(d_a, d_b, d_a, d_b)
+    entries = []
+    for meas in alice_measurements:
+        if meas.dim != d_a:
+            raise ValueError(f"Alice measurement {meas.label!r} dimension mismatch")
+        members = []
+        for value, effect in zip(meas.values, meas.effects):
+            # Tr_A[W (E ⊗ I)] = Σ_{i,k} E[k,i] W[i,:,k,:]
+            rho = np.einsum("ki,ijkl->jl", effect, w)
+            members.append((value, rho))
+        entries.append(tuple(members))
+    return Assemblage(entries=tuple(entries))
