@@ -118,10 +118,27 @@ for _criterion in ("reid-cv", "duan-simon", "collective-cv-product"):
     CASES.append(
         (f"eval-{_criterion}.json", ["eval", "--criterion", _criterion, *_GAUSSIAN, "--format", "json"], None)
     )
+# The gain modes that are not their criterion's catalog default.
+for _criterion in ("collective-cv-sum", "collective-cv-product"):
+    CASES.append(
+        (
+            f"eval-{_criterion}-optimize.json",
+            ["eval", "--criterion", _criterion, *_GAUSSIAN, "--gain-mode", "optimize"],
+            None,
+        )
+    )
 CASES.append(
     (
-        "eval-collective-cv-sum-optimize.json",
-        ["eval", "--criterion", "collective-cv-sum", *_GAUSSIAN, "--gain-mode", "optimize"],
+        "eval-collective-spin-sum-fixed.json",
+        ["eval", "--criterion", "collective-spin-sum", *_WERNER, "--gain-mode", "fixed"],
+        None,
+    )
+)
+CASES.append(
+    (
+        "sweep-collective-spin-sum-fixed.csv",
+        ["sweep", "--criterion", "collective-spin-sum", "--family", "werner", "--param", "mu",
+         "--grid", "0:1:11", "--gain-mode", "fixed"],
         None,
     )
 )
@@ -134,14 +151,15 @@ for _criterion in CV_CRITERIA:
             None,
         )
     )
-CASES.append(
-    (
-        "boundary-duan-simon.json",
-        ["boundary", "--criterion", "duan-simon", "--family", "symmetric-gaussian", "--nbar", "1",
-         "--param", "mu"],
-        None,
+for _criterion in ("duan-simon", "collective-cv-sum"):
+    CASES.append(
+        (
+            f"boundary-{_criterion}.json",
+            ["boundary", "--criterion", _criterion, "--family", "symmetric-gaussian", "--nbar", "1",
+             "--param", "mu"],
+            None,
+        )
     )
-)
 for _fmt in ("csv", "json"):
     for _criterion in ("product-spin", "sum-two", "sum-three-spin"):
         CASES.append(
