@@ -349,91 +349,76 @@ def eval_duan_simon(state: GaussianState) -> CriterionResult:
     return _result("duan-simon", v_minus + v_plus, 4.0, VIOLATED_IF_BELOW, details)
 
 
-@dataclass(frozen=True)
-class CollectiveTerm:
-    """One Var(g·A + B) term.
-
-    For the CV criteria alice/bob are quadrature indices into the covariance
-    matrix; for collective-spin-sum they are observable matrices.
-    """
-
-    alice: int | np.ndarray
-    bob: int | np.ndarray
-    gain: float = 1.0
-
-
-def _collective_term_variance(
-    state: GaussianState | BipartiteState, term: CollectiveTerm, gain_mode: str
-) -> tuple[float, float]:
-    """Resolve the gain (optimizing g* = -cov(A,B)/Var(A) when asked) and the variance."""
-    if isinstance(state, GaussianState):
-        a_idx, b_idx = int(term.alice), int(term.bob)
-        if gain_mode == "optimize":
-            var_a = state.cov[a_idx, a_idx]
-            if var_a < 1e-12:
-                raise ValueError("cannot optimize the gain against a zero-variance Alice quadrature")
-            gain = -state.cov[a_idx, b_idx] / var_a
-        else:
-            gain = term.gain
-        return float(gain), _quadrature_pair_variance(state, a_idx, b_idx, gain)
-    a_obs = np.asarray(term.alice, dtype=complex)
-    b_obs = np.asarray(term.bob, dtype=complex)
-    if gain_mode == "optimize":
-        eye_a, eye_b = np.eye(state.dim_a), np.eye(state.dim_b)
-        mean_a = expectation(tensor_product(a_obs, eye_b), state.matrix)
-        mean_b = expectation(tensor_product(eye_a, b_obs), state.matrix)
-        cov_ab = expectation(tensor_product(a_obs, b_obs), state.matrix) - mean_a * mean_b
-        var_a = variance(a_obs, partial_trace(state, "a"))
-        if var_a < 1e-12:
-            raise ValueError("cannot optimize the gain against a zero-variance Alice observable")
-        gain = -cov_ab / var_a
-    else:
-        gain = term.gain
-    return float(gain), collective_variance(state, a_obs, b_obs, gain)
-
-
-def eval_collective(
-    state: GaussianState | BipartiteState,
-    terms: Sequence[CollectiveTerm],
-    criterion_id: str,
-    gain_mode: str = "fixed",
-) -> CriterionResult:
-    """The collective criteria, built from variances Var(g_k·A_k + B_k).
-
-    criterion_id is collective-cv-sum (bound 2), collective-cv-product
-    (product of standard deviations, bound 1) or collective-spin-sum (three
-    terms, bound the spin quantum number j).
-    """
-    if criterion_id not in ("collective-cv-sum", "collective-cv-product", "collective-spin-sum"):
-        raise ValueError(f"unknown collective criterion {criterion_id!r}")
+def _check_gain_mode(gain_mode: str) -> None:
     if gain_mode not in ("fixed", "optimize"):
         raise ValueError(f"gain_mode must be 'fixed' or 'optimize', got {gain_mode!r}")
-    spin = criterion_id == "collective-spin-sum"
-    expected_terms = 3 if spin else 2
-    if len(terms) != expected_terms:
-        raise ValueError(f"{criterion_id} needs {expected_terms} terms, got {len(terms)}")
-    if not spin and not isinstance(state, GaussianState):
-        raise ValueError(f"{criterion_id} needs a Gaussian state")
-    if spin and not isinstance(state, BipartiteState):
-        raise ValueError(f"{criterion_id} needs a finite-dimensional bipartite state")
 
+
+def _optimal_gain(cov_ab: float, var_a: float, alice: str) -> float:
+    """Reid's gain g* = -cov(A, B)/Var(A), which minimizes Var(g·A + B); alice names A in the error."""
+    if var_a < 1e-12:
+        raise ValueError(f"cannot optimize the gain against a zero-variance Alice {alice}")
+    return -cov_ab / var_a
+
+
+def eval_collective_cv(state: GaussianState, criterion_id: str, gain_mode: str) -> CriterionResult:
+    """Collective criteria from Var(gx·x_A + x_B) and Var(gp·p_A + p_B) on a two-mode Gaussian state.
+
+    criterion_id is collective-cv-sum (their sum, bound 2) or
+    collective-cv-product (the product of their square roots, bound 1).
+    gain_mode "fixed" takes (gx, gp) = (-1, +1); "optimize" takes each
+    pair's optimal gain. For other gains, call linear_combination_variance.
+    """
+    if criterion_id not in ("collective-cv-sum", "collective-cv-product"):
+        raise ValueError(f"unknown collective criterion {criterion_id!r}")
+    _check_gain_mode(gain_mode)
+    if state.n_modes != 2:
+        raise ValueError(f"{criterion_id} needs a two-mode state, got {state.n_modes} modes")
     details: dict[str, float | str] = {"gain_mode": gain_mode}
     variances = []
-    for i, term in enumerate(terms):
-        gain, var = _collective_term_variance(state, term, gain_mode)
+    for i, (a_idx, b_idx, gain) in enumerate(((X_A, X_B, -1.0), (P_A, P_B, 1.0))):
+        if gain_mode == "optimize":
+            gain = _optimal_gain(state.cov[a_idx, b_idx], state.cov[a_idx, a_idx], "quadrature")
+        var = _quadrature_pair_variance(state, a_idx, b_idx, gain)
         variances.append(var)
-        details[f"gain_{i + 1}"] = gain
+        details[f"gain_{i + 1}"] = float(gain)
         details[f"collective_variance_{i + 1}"] = var
-
     if criterion_id == "collective-cv-sum":
         lhs, bound = sum(variances), 2.0
-    elif criterion_id == "collective-cv-product":
-        lhs, bound = math.sqrt(variances[0]) * math.sqrt(variances[1]), 1.0
     else:
-        j_val = (state.dim_b - 1) / 2
-        details["spin_j"] = j_val
-        lhs, bound = sum(variances), j_val
+        lhs, bound = math.sqrt(variances[0]) * math.sqrt(variances[1]), 1.0
     return _result(criterion_id, lhs, bound, VIOLATED_IF_BELOW, details)
+
+
+def eval_collective_spin_sum(state: BipartiteState, gain_mode: str) -> CriterionResult:
+    """Σ_i Var(g_i·J_i^A + J_i^B) ≥ j over i = x, y, z for a spin-j Bob, j read from its dimension.
+
+    gain_mode "fixed" takes every g_i = 1; "optimize" takes each axis's
+    optimal gain. For other gains, call collective_variance.
+    """
+    _check_gain_mode(gain_mode)
+    j_a, j_val = (state.dim_a - 1) / 2, (state.dim_b - 1) / 2
+    ops_a, ops_b = spin_operators(j_a), spin_operators(j_val)
+    if gain_mode == "optimize":
+        eye_a, eye_b = np.eye(state.dim_a), np.eye(state.dim_b)
+        rho_a = partial_trace(state, "a")
+        correlations = _spin_correlation_operators(j_a, j_val)
+    details: dict[str, float | str] = {"gain_mode": gain_mode}
+    variances = []
+    for i, axis in enumerate("xyz"):
+        a_obs, b_obs = ops_a.component(axis), ops_b.component(axis)
+        gain = 1.0
+        if gain_mode == "optimize":
+            mean_a = expectation(tensor_product(a_obs, eye_b), state.matrix)
+            mean_b = expectation(tensor_product(eye_a, b_obs), state.matrix)
+            cov_ab = expectation(correlations[i], state.matrix) - mean_a * mean_b
+            gain = _optimal_gain(cov_ab, variance(a_obs, rho_a), "observable")
+        var = collective_variance(state, a_obs, b_obs, gain)
+        variances.append(var)
+        details[f"gain_{i + 1}"] = float(gain)
+        details[f"collective_variance_{i + 1}"] = var
+    details["spin_j"] = j_val
+    return _result("collective-spin-sum", sum(variances), j_val, VIOLATED_IF_BELOW, details)
 
 
 @functools.lru_cache(maxsize=8)
@@ -539,16 +524,6 @@ def eval_additive_convex(
     return _result("custom-convex", lhs, quantum_bound, VIOLATED_IF_ABOVE, details)
 
 
-# The collective CV criteria's default gains (-1, +1).
-_CV_TERMS = (CollectiveTerm(X_A, X_B, -1.0), CollectiveTerm(P_A, P_B, 1.0))
-
-
-def _spin_collective_terms(state: BipartiteState) -> list[CollectiveTerm]:
-    ops_a = spin_operators((state.dim_a - 1) / 2)
-    ops_b = spin_operators((state.dim_b - 1) / 2)
-    return [CollectiveTerm(ops_a.component(axis), ops_b.component(axis), 1.0) for axis in "xyz"]
-
-
 # Catalog evaluators: (state, gain_mode) -> result.
 # They call the eval_* functions by name, so a wrapper installed on the module
 # attribute (the benchmark's tracer) sees every call; only the inference
@@ -611,23 +586,21 @@ CATALOG: dict[str, CriterionInfo] = {
             "collective-cv-sum", "cv", VIOLATED_IF_BELOW,
             "Var(gx*x_A + x_B) + Var(gp*p_A + p_B)", "2",
             "default gains (-1, +1)",
-            evaluator=lambda state, gain_mode: eval_collective(state, _CV_TERMS, "collective-cv-sum", gain_mode),
+            evaluator=lambda state, gain_mode: eval_collective_cv(state, "collective-cv-sum", gain_mode),
             gain_mode="fixed",
         ),
         CriterionInfo(
             "collective-cv-product", "cv", VIOLATED_IF_BELOW,
             "D(gx*x_A + x_B) * D(gp*p_A + p_B)", "1",
             "default gains (-1, +1)",
-            evaluator=lambda state, gain_mode: eval_collective(state, _CV_TERMS, "collective-cv-product", gain_mode),
+            evaluator=lambda state, gain_mode: eval_collective_cv(state, "collective-cv-product", gain_mode),
             gain_mode="fixed",
         ),
         CriterionInfo(
             "collective-spin-sum", "spin", VIOLATED_IF_BELOW,
             "sum_i Var(g_i*Ji_A + Ji_B)", "j",
             "gains optimized by default",
-            evaluator=lambda state, gain_mode: eval_collective(
-                state, _spin_collective_terms(state), "collective-spin-sum", gain_mode
-            ),
+            evaluator=lambda state, gain_mode: eval_collective_spin_sum(state, gain_mode),
             gain_mode="optimize",
         ),
         CriterionInfo(

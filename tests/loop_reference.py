@@ -18,10 +18,12 @@ statistics (a Python loop over Alice's rows for the conditional means), which
 the plan pass and `inference_statistics` must match bit for bit for fewer
 than eight Alice outcomes; of the criteria's original if-chain
 dispatch, which the `CATALOG` evaluators must match result for result; and
-of removed duplicates and options: the gain-based Reid product, which
-`eval_collective(..., "collective-cv-product", "fixed")` must match bit for bit; the
-per-row minimum inference variance, which `inference_variance` must match
-within PROB_FLOOR·max b²; and the linear and table estimators, whose
+of removed duplicates and options: the one collective evaluator over
+caller-supplied terms that a Gaussian and a spin state shared, which the
+catalog's collective evaluators must match result for result; the
+gain-based Reid product, which `collective-cv-product` with fixed gains
+must match bit for bit; the per-row minimum inference variance, which
+`inference_variance` must match within PROB_FLOOR·max b²; and the linear and table estimators, whose
 variances no estimate may bring below `inference_variance` and whose linear
 form is `collective_variance`.
 """
@@ -30,18 +32,27 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from steerkit.core import BipartiteState, DensityMatrix, spin_operators
+from steerkit.core import (
+    BipartiteState,
+    DensityMatrix,
+    expectation,
+    partial_trace,
+    spin_operators,
+    tensor_product,
+    variance,
+)
 from steerkit.criteria import (
     CATALOG,
-    CollectiveTerm,
+    VIOLATED_IF_BELOW,
+    _result,
     default_spin_plan,
     eval_additive_sum_three_spin,
     eval_additive_sum_two,
     eval_bowen,
-    eval_collective,
     eval_duan_simon,
     eval_linear_qubit,
     eval_linear_spin_j,
@@ -49,7 +60,7 @@ from steerkit.criteria import (
     eval_reid_cv,
 )
 from steerkit.gaussian import P_A, P_B, X_A, X_B, GaussianState, linear_combination_variance
-from steerkit.measurements import PROB_FLOOR, JointDistribution
+from steerkit.measurements import PROB_FLOOR, JointDistribution, collective_variance
 from steerkit.oracle import SLACK_BAND, GridFeasible, GridInfeasible, _lp_system
 
 
@@ -312,6 +323,94 @@ def linear_estimates(joint, gain):
     g = float(gain)
     mean_b_plus_ga = joint.mean_b() + g * float(joint.marginal_a() @ a)
     return -g * a + mean_b_plus_ga
+
+
+@dataclass(frozen=True)
+class CollectiveTerm:
+    """One Var(g·A + B) term.
+
+    For the CV criteria alice/bob are quadrature indices into the covariance
+    matrix; for collective-spin-sum they are observable matrices.
+    """
+
+    alice: int | np.ndarray
+    bob: int | np.ndarray
+    gain: float = 1.0
+
+
+def _quadrature_pair_variance(state, a_idx, b_idx, gain):
+    """Var(g·q_a + q_b) for two quadratures given by their covariance-matrix indices."""
+    coeffs = np.zeros(state.cov.shape[0])
+    coeffs[a_idx] += gain
+    coeffs[b_idx] += 1.0
+    return linear_combination_variance(state, coeffs)
+
+
+def _collective_term_variance(state, term, gain_mode):
+    """Resolve the gain (optimizing g* = -cov(A,B)/Var(A) when asked) and the variance."""
+    if isinstance(state, GaussianState):
+        a_idx, b_idx = int(term.alice), int(term.bob)
+        if gain_mode == "optimize":
+            var_a = state.cov[a_idx, a_idx]
+            if var_a < 1e-12:
+                raise ValueError("cannot optimize the gain against a zero-variance Alice quadrature")
+            gain = -state.cov[a_idx, b_idx] / var_a
+        else:
+            gain = term.gain
+        return float(gain), _quadrature_pair_variance(state, a_idx, b_idx, gain)
+    a_obs = np.asarray(term.alice, dtype=complex)
+    b_obs = np.asarray(term.bob, dtype=complex)
+    if gain_mode == "optimize":
+        eye_a, eye_b = np.eye(state.dim_a), np.eye(state.dim_b)
+        mean_a = expectation(tensor_product(a_obs, eye_b), state.matrix)
+        mean_b = expectation(tensor_product(eye_a, b_obs), state.matrix)
+        cov_ab = expectation(tensor_product(a_obs, b_obs), state.matrix) - mean_a * mean_b
+        var_a = variance(a_obs, partial_trace(state, "a"))
+        if var_a < 1e-12:
+            raise ValueError("cannot optimize the gain against a zero-variance Alice observable")
+        gain = -cov_ab / var_a
+    else:
+        gain = term.gain
+    return float(gain), collective_variance(state, a_obs, b_obs, gain)
+
+
+def eval_collective(state, terms, criterion_id, gain_mode="fixed"):
+    """The removed collective evaluator: Var(g_k·A_k + B_k) over caller-supplied terms.
+
+    criterion_id is collective-cv-sum (bound 2), collective-cv-product
+    (product of standard deviations, bound 1) or collective-spin-sum (three
+    terms, bound the spin quantum number j).
+    """
+    if criterion_id not in ("collective-cv-sum", "collective-cv-product", "collective-spin-sum"):
+        raise ValueError(f"unknown collective criterion {criterion_id!r}")
+    if gain_mode not in ("fixed", "optimize"):
+        raise ValueError(f"gain_mode must be 'fixed' or 'optimize', got {gain_mode!r}")
+    spin = criterion_id == "collective-spin-sum"
+    expected_terms = 3 if spin else 2
+    if len(terms) != expected_terms:
+        raise ValueError(f"{criterion_id} needs {expected_terms} terms, got {len(terms)}")
+    if not spin and not isinstance(state, GaussianState):
+        raise ValueError(f"{criterion_id} needs a Gaussian state")
+    if spin and not isinstance(state, BipartiteState):
+        raise ValueError(f"{criterion_id} needs a finite-dimensional bipartite state")
+
+    details = {"gain_mode": gain_mode}
+    variances = []
+    for i, term in enumerate(terms):
+        gain, var = _collective_term_variance(state, term, gain_mode)
+        variances.append(var)
+        details[f"gain_{i + 1}"] = gain
+        details[f"collective_variance_{i + 1}"] = var
+
+    if criterion_id == "collective-cv-sum":
+        lhs, bound = sum(variances), 2.0
+    elif criterion_id == "collective-cv-product":
+        lhs, bound = math.sqrt(variances[0]) * math.sqrt(variances[1]), 1.0
+    else:
+        j_val = (state.dim_b - 1) / 2
+        details["spin_j"] = j_val
+        lhs, bound = sum(variances), j_val
+    return _result(criterion_id, lhs, bound, VIOLATED_IF_BELOW, details)
 
 
 def _cv_collective_terms():

@@ -8,7 +8,7 @@ import loop_reference
 from steerkit.core import bipartite_from_matrix, spin_operators, tensor_product
 from steerkit.criteria import (
     CATALOG,
-    CollectiveTerm,
+    SATURATION_TOL,
     ConvexTerm,
     InferencePlan,
     check_convexity,
@@ -17,7 +17,6 @@ from steerkit.criteria import (
     eval_additive_sum_three_spin,
     eval_additive_sum_two,
     eval_bowen,
-    eval_collective,
     eval_linear_qubit,
     eval_linear_spin_j,
     eval_product_criterion,
@@ -25,17 +24,14 @@ from steerkit.criteria import (
     evaluate,
 )
 from steerkit.gaussian import (
-    P_A,
-    P_B,
-    X_A,
-    X_B,
     GaussianState,
     SymmetricTwoModeParams,
+    linear_combination_variance,
     symmetric_two_mode,
     symplectic_form,
 )
 from steerkit.families import singlet_state, werner_state
-from steerkit.measurements import observable_to_measurement
+from steerkit.measurements import collective_variance, observable_to_measurement
 from util import implication_trial, random_separable_two_qubit, random_spin_plan, random_two_qubit_state
 
 SPIN = spin_operators(0.5)
@@ -193,29 +189,32 @@ class TestReidCV:
     def test_gain_based_never_beats_optimal(self, rng):
         for _ in range(20):
             state = gaussian(float(rng.uniform(0.2, 3)), float(rng.uniform(0, 1)))
-            gains = (float(rng.uniform(-2, 0)), float(rng.uniform(0, 2)))
+            gx, gp = float(rng.uniform(-2, 0)), float(rng.uniform(0, 2))
             optimal = eval_reid_cv(state).lhs_value
-            terms = [CollectiveTerm(X_A, X_B, gains[0]), CollectiveTerm(P_A, P_B, gains[1])]
-            fixed = eval_collective(state, terms, "collective-cv-product", "fixed").lhs_value
-            assert fixed >= optimal - 1e-12
+            vx = linear_combination_variance(state, [gx, 0, 1, 0])
+            vp = linear_combination_variance(state, [0, gp, 0, 1])
+            assert math.sqrt(vx) * math.sqrt(vp) >= optimal - 1e-12
 
     def test_gain_based_product_is_collective_cv_product(self, rng):
-        # The gain-based Reid product is the fixed-gain collective product,
-        # bit for bit, on random physical two-mode states.
+        # The gain-based Reid product at the catalog's gains, fixed (-1, +1)
+        # or optimized, is collective-cv-product bit for bit on random
+        # physical two-mode states.
         omega = symplectic_form(2)
         for _ in range(30):
             h = rng.normal(size=(4, 4))
             symplectic = expm(omega @ (h + h.T) / 2)
             m = rng.normal(size=(4, 4))
             state = GaussianState(cov=symplectic @ (np.eye(4) + m @ m.T) @ symplectic.T, mean=rng.normal(size=4))
-            gains = (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-            lhs, vx, vp = loop_reference.reid_cv_gain_product(state, gains)
-            terms = [CollectiveTerm(X_A, X_B, gains[0]), CollectiveTerm(P_A, P_B, gains[1])]
-            result = eval_collective(state, terms, "collective-cv-product", "fixed")
-            assert result.lhs_value == lhs
-            assert result.details["collective_variance_1"] == vx
-            assert result.details["collective_variance_2"] == vp
-            assert result.bound == 1.0
+            for gain_mode in ("fixed", "optimize"):
+                result = evaluate("collective-cv-product", state, gain_mode=gain_mode)
+                gains = (result.details["gain_1"], result.details["gain_2"])
+                if gain_mode == "fixed":
+                    assert gains == (-1.0, 1.0)
+                lhs, vx, vp = loop_reference.reid_cv_gain_product(state, gains)
+                assert result.lhs_value == lhs
+                assert result.details["collective_variance_1"] == vx
+                assert result.details["collective_variance_2"] == vp
+                assert result.bound == 1.0
 
     def test_wrong_mode_count(self):
         with pytest.raises(ValueError):
@@ -267,12 +266,12 @@ class TestCollective:
         # state, so the inequality is a quantum uncertainty relation.
         for _ in range(20):
             state = random_two_qubit_state(rng)
-            terms = [CollectiveTerm(SPIN.component(ax), SPIN.component(ax), 0.0) for ax in "xyz"]
-            assert not eval_collective(state, terms, "collective-spin-sum", "fixed").violated
+            lhs = sum(collective_variance(state, SPIN.component(ax), SPIN.component(ax), 0.0) for ax in "xyz")
+            assert 0.5 - lhs <= SATURATION_TOL
         for mu in (0.0, 0.5, 1.0):
             state = gaussian(1.0, mu)
-            terms = [CollectiveTerm(0, 2, 0.0), CollectiveTerm(1, 3, 0.0)]
-            assert not eval_collective(state, terms, "collective-cv-sum", "fixed").violated
+            lhs = linear_combination_variance(state, [0, 0, 1, 0]) + linear_combination_variance(state, [0, 0, 0, 1])
+            assert 2.0 - lhs <= SATURATION_TOL
 
     def test_optimized_gain_dominates_fixed(self, rng):
         for _ in range(25):
@@ -291,11 +290,18 @@ class TestCollective:
             assert collective.lhs_value == pytest.approx(summed.lhs_value, abs=1e-10)
 
     def test_zero_variance_optimize_errors(self):
+        # |↑↑⟩: Alice's Jx and Jy have variance 1/4, her Jz none.
         up = np.diag([1.0, 0.0]).astype(complex)
         state = bipartite_from_matrix(tensor_product(up, up), 2, 2)
-        terms = [CollectiveTerm(SPIN.jz, SPIN.jz, 1.0) for _ in range(3)]
-        with pytest.raises(ValueError, match="zero-variance"):
-            eval_collective(state, terms, "collective-spin-sum", "optimize")
+        with pytest.raises(ValueError, match="zero-variance Alice observable"):
+            evaluate("collective-spin-sum", state, gain_mode="optimize")
+
+    @pytest.mark.parametrize("criterion_id", ["collective-cv-sum", "collective-cv-product"])
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_cv_needs_two_modes(self, criterion_id, n_modes):
+        state = GaussianState(cov=np.eye(2 * n_modes), mean=np.zeros(2 * n_modes))
+        with pytest.raises(ValueError, match=f"^{criterion_id} needs a two-mode state, got {n_modes} modes$"):
+            evaluate(criterion_id, state)
 
 
 class TestLinearCriteria:
