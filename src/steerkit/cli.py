@@ -182,9 +182,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "parameters": dict(sorted(params.items())),
         "details": details,
     }
-    if args.tag is not None:
-        record["tag"] = args.tag
     row = {**verdict, **{f"detail.{key}": value for key, value in details.items()}}
+    if args.tag is not None:
+        record["tag"] = row["tag"] = args.tag
     _emit_table(args, record, [row])
     return EXIT_OK
 
@@ -192,6 +192,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = _criterion_params(args, swept=args.param)
     grid_values = _parse_grid(args.grid)
+    lo, hi = FAMILIES[args.family].parameter_ranges[args.param]
+    if min(grid_values) < lo or max(grid_values) > hi:
+        raise UsageError(f"grid {args.grid} outside range [{_fmt(lo)}, {_fmt(hi)}] of parameter {args.param!r}")
     points = sweep(
         args.criterion, args.family, args.param, grid_values, fixed=params, gain_mode=args.gain_mode
     )
@@ -426,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", required=True, choices=sorted(FAMILIES))
         p.add_argument("--mu", type=float, default=None)
         p.add_argument("--nbar", type=float, default=None)
-        p.add_argument("--tag", default=None, help="free-text metadata echoed into outputs")
 
     criteria_p = sub.add_parser("criteria", help="criterion catalog")
     criteria_sub = criteria_p.add_subparsers(dest="subcommand", required=True)
@@ -437,6 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p = sub.add_parser("eval", help="evaluate one criterion on one state")
     eval_p.add_argument("--criterion", required=True)
     add_family(eval_p)
+    eval_p.add_argument("--tag", default=None, help="free-text metadata echoed into the output")
     eval_p.add_argument("--gain-mode", choices=("fixed", "optimize"), default=None)
     add_format(eval_p, "json")
     eval_p.set_defaults(run=cmd_eval)
@@ -462,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle_p = sub.add_parser("oracle", help="hidden-state LP oracle with optional certification")
     add_family(oracle_p)
+    oracle_p.add_argument("--tag", default=None, help="free-text metadata echoed into the output")
     oracle_p.add_argument("--measurements", required=True, help="mub2, mub3, or a measurement file")
     oracle_p.add_argument("--grid", type=int, required=True, help="hidden-state grid resolution")
     oracle_p.add_argument("--certify", action="store_true")

@@ -113,6 +113,15 @@ class TestEval:
         assert record["violated"] == "true"
         assert float(record["lhs_value"]) == pytest.approx(0.6, abs=1e-12)
 
+    def test_csv_tag_is_the_last_column(self, capsys):
+        argv = ("eval", "--family", "werner", "--mu", "0.8", "--criterion", "linear-3", "--format", "csv")
+        _, untagged, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--tag", "run, 7")
+        assert code == 0
+        header, values = list(csv.reader(io.StringIO(out)))
+        assert (header[-1], values[-1]) == ("tag", "run, 7")
+        assert list(csv.reader(io.StringIO(untagged))) == [header[:-1], values[:-1]]
+
     @pytest.mark.parametrize("nbar", [1e5, 1e6, 1e7])
     def test_reid_cv_relative_error_at_large_nbar(self, capsys, nbar):
         # The exact lhs of the pure state is 1/(1 + 2·nbar); the Schur
@@ -168,6 +177,28 @@ class TestSweep:
             "--param", "mu", "--grid", "0:1:0",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--grid", "0.5:1.5:3"), "grid 0.5:1.5:3 outside range [0, 1] of parameter 'mu'"),
+            (("--grid=-0.5:0.7:3",), "grid -0.5:0.7:3 outside range [0, 1] of parameter 'mu'"),
+            (("--grid", "1.2:0:4"), "grid 1.2:0:4 outside range [0, 1] of parameter 'mu'"),
+        ],
+        ids=["above", "below", "descending"],
+    )
+    def test_grid_outside_family_range_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *self.ARGS[:-2], *argv)
+        assert (code, out, err) == (2, "", f"steerkit: error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["sweep", "boundary"])
+    def test_tag_is_not_an_option(self, command):
+        argv = [command, "--criterion", "linear-3", "--family", "werner", "--param", "mu", "--tag", "x"]
+        if command == "sweep":
+            argv += ["--grid", "0:1:3"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 _BOUNDARY_MU = ("boundary", "--criterion", "linear-3", "--family", "werner", "--param", "mu")
