@@ -101,6 +101,13 @@ def _parse_bracket(spec: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _check_swept_range(args: argparse.Namespace, flag: str, spec: str, values) -> None:
+    """Require every value of `--grid` or `--bracket` inside the swept parameter's family range."""
+    lo, hi = FAMILIES[args.family].parameter_ranges[args.param]
+    if min(values) < lo or max(values) > hi:
+        raise UsageError(f"{flag} {spec} outside range [{_fmt(lo)}, {_fmt(hi)}] of parameter {args.param!r}")
+
+
 def _family_params(args: argparse.Namespace, skip: str | None = None) -> dict[str, float]:
     """Collect and range-check the family parameters supplied as flags."""
     family = args.family
@@ -192,9 +199,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = _criterion_params(args, swept=args.param)
     grid_values = _parse_grid(args.grid)
-    lo, hi = FAMILIES[args.family].parameter_ranges[args.param]
-    if min(grid_values) < lo or max(grid_values) > hi:
-        raise UsageError(f"grid {args.grid} outside range [{_fmt(lo)}, {_fmt(hi)}] of parameter {args.param!r}")
+    _check_swept_range(args, "grid", args.grid, grid_values)
     points = sweep(
         args.criterion, args.family, args.param, grid_values, fixed=params, gain_mode=args.gain_mode
     )
@@ -214,11 +219,7 @@ def cmd_boundary(args: argparse.Namespace) -> int:
     if not math.isfinite(args.tol):
         raise UsageError(f"--tol must be finite, got {args.tol}")
     if bracket is not None:
-        lo, hi = FAMILIES[args.family].parameter_ranges[args.param]
-        if bracket[0] < lo or bracket[1] > hi:
-            raise UsageError(
-                f"bracket {args.bracket} outside range [{_fmt(lo)}, {_fmt(hi)}] of parameter {args.param!r}"
-            )
+        _check_swept_range(args, "bracket", args.bracket, bracket)
     result = boundary_bisect(
         args.criterion,
         args.family,
