@@ -54,6 +54,9 @@ TIE_RTOL = 1e-9
 VERTEX_BRANCH_CAP = 8
 # Per-constraint slack band absorbed as feasible (floating-point residue).
 SLACK_BAND = 1e-9
+# An optimal LP solution must meet every bound and equality within this,
+# as linprog requires: 10·√1e-9, from its default tolerance 1e-9.
+LP_CHECK_TOL = 10 * math.sqrt(1e-9)
 # A certificate requires the observed value to clear the exact bound by this.
 CERTIFY_MARGIN = 1e-9
 # Fixed seed for the unitary-invariant pure-state grids in dimension > 2.
@@ -288,29 +291,60 @@ def lhs_feasible(phen: Phenomenon, grid: HiddenStateGrid) -> GridFeasible | Grid
     feasible iff the minimal total violation is within the slack band. On
     infeasibility the equality multipliers form the Farkas dual: yᵀA ≤ 0 on
     every weight column while yᵀb > 0.
+
+    The program goes straight to the HiGHS binding that scipy bundles, with
+    the model and options `linprog(method="highs")` would hand it, and comes
+    back through `linprog`'s checks: finite input, an optimal status, and a
+    solution within LP_CHECK_TOL of every bound and equality.
     """
     # Imported here, not with the module: scipy.optimize is about 50 MB and
     # 0.5 s of import, and only the LP needs it.
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core as highs_core
+    from scipy.sparse import csc_array
 
     a_mat, b_vec, n_strategies = _lp_system(phen, grid)
     n_rows, n_cols = a_mat.shape
+    n_vars = n_cols + 2 * n_rows
     cost = np.concatenate([np.zeros(n_cols), np.ones(2 * n_rows)])
-    a_eq = np.hstack([a_mat, np.eye(n_rows), -np.eye(n_rows)])
-    # HiGHS's presolve reduces nothing here unless a table entry is within its
-    # 1e-7 feasibility tolerance of zero, and skipping it saves about 40% of
-    # the solve. Where it does reduce (the singlet), only the choice among
-    # optimal duals moves; verdicts and certification stay.
-    res = linprog(
-        cost, A_eq=a_eq, b_eq=b_vec, bounds=(0, None), method="highs", options={"presolve": False}
+    a_eq = csc_array(np.hstack([a_mat, np.eye(n_rows), -np.eye(n_rows)]))
+    if not all(np.isfinite(v).all() for v in (cost, a_eq.data, b_vec)):
+        raise ValueError("LP system must be finite")
+    highs = highs_core._Highs()
+    # Set before the model is passed, so that HiGHS prints no banner. HiGHS's
+    # presolve reduces nothing here unless a table entry is within its 1e-7
+    # feasibility tolerance of zero, and skipping it saves about 40% of the
+    # solve. Where it does reduce (the singlet), only the choice among optimal
+    # duals moves; verdicts and certification stay.
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("log_to_console", False)
+    highs.setOptionValue("presolve", "off")
+    highs.setOptionValue("simplex_strategy", int(highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
+    # The binding reads these arrays through raw pointers: every length comes
+    # from a_eq, whose indices are all below n_rows.
+    highs.passModel(
+        n_vars, n_rows, a_eq.nnz, int(highs_core.MatrixFormat.kColwise), int(highs_core.ObjSense.kMinimize), 0.0,
+        cost, np.zeros(n_vars), np.full(n_vars, highs_core.kHighsInf), b_vec, b_vec,
+        a_eq.indptr[:-1], a_eq.indices, a_eq.data, np.zeros(n_vars, dtype=np.int32),
     )
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
-    violation = float(res.fun)
+    # A model HiGHS refuses stays unloaded, and an empty model is not optimal.
+    highs.run()
+    status = highs.getModelStatus()
+    if status != highs_core.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"LP solver failed (status {highs.modelStatusToString(status)}): no optimal solution")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    violation = float(highs.getInfo().objective_function_value)
+    # A NaN in x or in the residual fails its comparison.
+    residual = np.abs(b_vec - np.array(solution.row_value))
+    if math.isnan(violation) or not ((x >= -LP_CHECK_TOL).all() and (residual <= LP_CHECK_TOL).all()):
+        raise RuntimeError(
+            f"LP solver failed (status {highs.modelStatusToString(status)}): the solution misses a bound"
+            f" or an equality by more than {LP_CHECK_TOL:.2e}"
+        )
     if violation <= SLACK_BAND * n_rows:
-        weights = res.x[:n_cols].reshape(n_strategies, len(grid.matrices))
+        weights = x[:n_cols].reshape(n_strategies, len(grid.matrices))
         return GridFeasible(weights=weights, residual=violation)
-    dual = np.asarray(res.eqlin.marginals, dtype=float)
+    dual = np.array(solution.row_dual)
     if dual @ b_vec < 0:
         dual = -dual
     return GridInfeasible(dual=dual, violation=violation)

@@ -2,10 +2,10 @@
 
 Compact copies of the oracle's original scalar loops (exact bound, LP system,
 grids built as tuples of per-state DensityMatrix objects), which the array
-code in `steerkit.oracle` must match bit for bit; of the LP solve with
-HiGHS's presolve on, whose residuals, weights and duals `lhs_feasible` must
-match bit for bit where every table entry is at least 1e-7, and whose
-verdicts it must match everywhere; of the blocked strategy
+code in `steerkit.oracle` must match bit for bit; of the LP solve through
+scipy's `linprog`, which the direct HiGHS call in `lhs_feasible` must match
+bit for bit with HiGHS's presolve off, and with it on where every table
+entry is at least 1e-7, and in verdict everywhere; of the blocked strategy
 enumeration that `certify_steering` ran for every Bob before the plane
 arrangement, which the arrangement must match bit for bit, and of the Bob
 tables from a tuple grid stacked on every call; of the removed second and
@@ -91,15 +91,17 @@ def lp_system(phen, grid, bob):
     return a_mat, b_vec, strategies
 
 
-def lhs_feasible_presolved(phen, grid):
-    """`oracle.lhs_feasible` with HiGHS's presolve on, as `linprog` runs it by default."""
+def lhs_feasible_linprog(phen, grid, presolve=False):
+    """`oracle.lhs_feasible` solved through `linprog`, with HiGHS's presolve off as it ran, or on."""
     from scipy.optimize import linprog
 
     a_mat, b_vec, n_strategies = _lp_system(phen, grid)
     n_rows, n_cols = a_mat.shape
     cost = np.concatenate([np.zeros(n_cols), np.ones(2 * n_rows)])
     a_eq = np.hstack([a_mat, np.eye(n_rows), -np.eye(n_rows)])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_vec, bounds=(0, None), method="highs")
+    res = linprog(
+        cost, A_eq=a_eq, b_eq=b_vec, bounds=(0, None), method="highs", options={"presolve": presolve}
+    )
     if res.status != 0:
         raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
     violation = float(res.fun)

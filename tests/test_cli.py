@@ -3,7 +3,10 @@ import ast
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +394,29 @@ class TestOracleCommand:
         )
         assert code == 0
         assert "tag=run-7" in out
+
+    def test_only_the_oracle_imports_scipy_optimize(self):
+        # scipy.optimize costs about 50 MB and 0.5 s of import, so only the LP
+        # solve imports it. A fresh interpreter sees what each command loads.
+        script = """
+import contextlib, io, sys
+from steerkit.cli import main
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0
+run("eval", "--family", "werner", "--mu", "0.8", "--criterion", "linear-3")
+run("sweep", "--criterion", "linear-3", "--family", "werner", "--param", "mu", "--grid", "0:1:3")
+print("scipy.optimize" in sys.modules)
+run("oracle", "--family", "werner", "--mu", "0.4", "--measurements", "mub2", "--grid", "20")
+print("scipy.optimize" in sys.modules)
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
 
 class TestMeasurementFile:

@@ -4,8 +4,10 @@ Only y @ A and A·w carry one: the removed per-entry loops they are compared
 with sum in another order.
 """
 
+import functools
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -559,9 +561,9 @@ class TestOneColumnMap:
         assert_model_tables_match(phen, grid, lhs_feasible(phen, grid).weights)
 
 
-def assert_same_solve(phen, grid):
+def assert_same_solve(phen, grid, reference):
     got = lhs_feasible(phen, grid)
-    ref = loop_reference.lhs_feasible_presolved(phen, grid)
+    ref = reference(phen, grid)
     assert type(got) is type(ref)
     if got.feasible:
         assert got.residual == ref.residual
@@ -571,14 +573,49 @@ def assert_same_solve(phen, grid):
         assert got.dual.tobytes() == ref.dual.tobytes()
 
 
+def presolved(phen, grid):
+    return loop_reference.lhs_feasible_linprog(phen, grid, presolve=True)
+
+
 CUBE4 = read_measurement_file(str(Path(__file__).resolve().parent / "golden" / "cube4.measurements"))
-# The threshold T ± 0.02 (offsets, added in the test), and μ whose smallest
-# table entry (1 - μ)/4 is 1e-5, 1e-6 and 1e-7, the last at HiGHS's
+# The threshold T ± 0.02 (offsets, added in mub_phenomenon), and μ whose
+# smallest table entry (1 - μ)/4 is 1e-5, 1e-6 and 1e-7, the last at HiGHS's
 # feasibility tolerance.
 WERNER_MUS = [
     0.0, 0.3, pytest.param(-0.02, id="T-0.02"), pytest.param(0.02, id="T+0.02"), 0.9,
     1 - 4e-5, 1 - 4e-6, 1 - 4e-7,
 ]
+# Systems with table entries of zero or within 1e-8 of it; None is the singlet.
+ZERO_ENTRY_MUS = [1 - 1e-8, 1.0, pytest.param(None, id="singlet")]
+
+
+def mub_phenomenon(n_mub, mu):
+    """The Werner phenomenon at μ (±0.02 are offsets from 1/√n_mub), or the singlet's for None."""
+    meas = mub_qubit_measurements(n_mub)
+    if mu is None:
+        return phenomenon_from_state(singlet_state(), all_pairs_strategy(meas, meas))
+    if mu in (-0.02, 0.02):
+        mu += 1 / math.sqrt(n_mub)
+    return werner_mub_phenomenon(mu, n_mub)
+
+
+def cube_phenomenon(mu):
+    return phenomenon_from_state(werner_state(mu), all_pairs_strategy(CUBE4, CUBE4))
+
+
+def highs_solvers(monkeypatch, solver_type=None):
+    """Replace the binding's solver class; returns the list of solvers made since."""
+    from scipy.optimize._highspy import _core
+
+    solver_type = solver_type or _core._Highs
+    made = []
+
+    def make():
+        made.append(solver_type())
+        return made[-1]
+
+    monkeypatch.setattr(_core, "_Highs", make)
+    return made
 
 
 class TestPresolveOff:
@@ -588,32 +625,25 @@ class TestPresolveOff:
     @pytest.mark.parametrize("resolution", [1, 50, 200, 800])
     @pytest.mark.parametrize("n_mub", [2, 3])
     def test_werner_mub(self, n_mub, resolution, mu):
-        if mu in (-0.02, 0.02):
-            mu += 1 / math.sqrt(n_mub)
-        assert_same_solve(werner_mub_phenomenon(mu, n_mub), qubit_grid(resolution))
+        assert_same_solve(mub_phenomenon(n_mub, mu), qubit_grid(resolution), presolved)
 
     @pytest.mark.parametrize("mu", [0.6, 0.9])
     def test_cube_diagonals(self, mu):
-        phen = phenomenon_from_state(werner_state(mu), all_pairs_strategy(CUBE4, CUBE4))
-        assert_same_solve(phen, qubit_grid(50))
+        assert_same_solve(cube_phenomenon(mu), qubit_grid(50), presolved)
 
     def test_spin1_qutrit_grid(self, rng):
-        assert_same_solve(qutrit_phenomenon(rng), hidden_state_grid(3, 200))
+        assert_same_solve(qutrit_phenomenon(rng), hidden_state_grid(3, 200), presolved)
 
-    @pytest.mark.parametrize("mu", [1 - 1e-8, 1.0, pytest.param(None, id="singlet")])
+    @pytest.mark.parametrize("mu", ZERO_ENTRY_MUS)
     @pytest.mark.parametrize("resolution", [1, 50, 200, 800])
     @pytest.mark.parametrize("n_mub", [2, 3])
     def test_zero_table_entries(self, n_mub, resolution, mu):
         # Presolve reduces these LPs, and the two solves may return different
         # optimal duals (at grid 1 they do), so only the verdicts must agree.
-        if mu is None:
-            meas = mub_qubit_measurements(n_mub)
-            phen = phenomenon_from_state(singlet_state(), all_pairs_strategy(meas, meas))
-        else:
-            phen = werner_mub_phenomenon(mu, n_mub)
+        phen = mub_phenomenon(n_mub, mu)
         grid = qubit_grid(resolution)
         got = lhs_feasible(phen, grid)
-        ref = loop_reference.lhs_feasible_presolved(phen, grid)
+        ref = presolved(phen, grid)
         assert not got.feasible and not ref.feasible
         assert got.violation == pytest.approx(ref.violation, rel=1e-12)
         got_cert, ref_cert = (
@@ -622,19 +652,100 @@ class TestPresolveOff:
         assert got_cert.certified == ref_cert.certified
 
     def test_presolve_always_off(self, monkeypatch):
-        import scipy.optimize
+        solvers = highs_solvers(monkeypatch)
+        for mu in (0.5, 1 - 4e-5, 1.0, None):
+            lhs_feasible(mub_phenomenon(3, mu), qubit_grid(50))
+        assert [solver.getOptionValue("presolve")[1] for solver in solvers] == ["off"] * 4
 
-        real_linprog = scipy.optimize.linprog
-        options = []
 
-        def spy(*args, **kwargs):
-            options.append(kwargs.get("options"))
-            return real_linprog(*args, **kwargs)
+class TestDirectHighs:
+    """The direct HiGHS call returns what `linprog` returned, bit for bit, on every input above."""
 
-        monkeypatch.setattr(scipy.optimize, "linprog", spy)
-        meas = mub_qubit_measurements(3)
-        singlet = phenomenon_from_state(singlet_state(), all_pairs_strategy(meas, meas))
-        for mu in (0.5, 1 - 4e-5, 1.0):
-            lhs_feasible(werner_mub_phenomenon(mu), qubit_grid(50))
-        lhs_feasible(singlet, qubit_grid(50))
-        assert options == [{"presolve": False}] * 4
+    @pytest.mark.parametrize("mu", WERNER_MUS + ZERO_ENTRY_MUS)
+    @pytest.mark.parametrize("resolution", [1, 50, 200, 800])
+    @pytest.mark.parametrize("n_mub", [2, 3])
+    def test_werner_mub(self, n_mub, resolution, mu):
+        assert_same_solve(mub_phenomenon(n_mub, mu), qubit_grid(resolution), loop_reference.lhs_feasible_linprog)
+
+    @pytest.mark.parametrize("mu", [0.6, 0.9])
+    def test_cube_diagonals(self, mu):
+        assert_same_solve(cube_phenomenon(mu), qubit_grid(50), loop_reference.lhs_feasible_linprog)
+
+    def test_spin1_qutrit_grid(self, rng):
+        assert_same_solve(qutrit_phenomenon(rng), hidden_state_grid(3, 200), loop_reference.lhs_feasible_linprog)
+
+
+class TestSolveFailure:
+    """What `linprog` reported as a failed solve raises, whatever verdict the numbers would give."""
+
+    @staticmethod
+    def solve_with(monkeypatch, **overrides):
+        """One solve on a solver whose named methods are replaced; each override gets the real solver first."""
+        from scipy.optimize._highspy import _core
+
+        real = _core._Highs
+
+        class Stub:
+            def __init__(self):
+                self.highs = real()
+
+            def __getattr__(self, name):
+                if name in overrides:
+                    return functools.partial(overrides[name], self.highs)
+                return getattr(self.highs, name)
+
+        highs_solvers(monkeypatch, Stub)
+        return lhs_feasible(werner_mub_phenomenon(0.9), qubit_grid(50))
+
+    @staticmethod
+    def shifted(field, shift):
+        def get_solution(highs):
+            solution = highs.getSolution()
+            setattr(solution, field, [v + shift for v in getattr(solution, field)])
+            return solution
+
+        return get_solution
+
+    def test_model_refused(self, monkeypatch):
+        from scipy.optimize._highspy._core import HighsStatus
+
+        with pytest.raises(RuntimeError, match="LP solver failed"):
+            self.solve_with(monkeypatch, passModel=lambda highs, *model: HighsStatus.kError)
+
+    @pytest.mark.parametrize("status", ["kIterationLimit", "kInfeasible", "kSolveError"])
+    def test_status_not_optimal(self, monkeypatch, status):
+        from scipy.optimize._highspy._core import HighsModelStatus
+
+        with pytest.raises(RuntimeError, match="LP solver failed"):
+            self.solve_with(monkeypatch, getModelStatus=lambda highs: getattr(HighsModelStatus, status))
+
+    @pytest.mark.parametrize(
+        "field, shift", [("row_value", 1e-3), ("row_value", -1e-3), ("col_value", -1e-3), ("row_value", math.nan)]
+    )
+    def test_solution_outside_tolerance(self, monkeypatch, field, shift):
+        with pytest.raises(RuntimeError, match="LP solver failed"):
+            self.solve_with(monkeypatch, getSolution=self.shifted(field, shift))
+
+    @pytest.mark.parametrize("field, shift", [("row_value", 3e-4), ("row_value", -3e-4), ("col_value", -3e-4)])
+    def test_solution_within_tolerance(self, monkeypatch, field, shift):
+        # linprog's tolerance is 10·√1e-9 ≈ 3.16e-4.
+        assert not self.solve_with(monkeypatch, getSolution=self.shifted(field, shift)).feasible
+
+    def test_nan_objective(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="LP solver failed"):
+            self.solve_with(monkeypatch, getInfo=lambda highs: SimpleNamespace(objective_function_value=math.nan))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_non_finite_system(self, monkeypatch, part, bad):
+        # HiGHS itself reports such a model optimal.
+        real = oracle._lp_system
+
+        def corrupted(phen, grid):
+            system = real(phen, grid)
+            system[part][..., 0] = bad
+            return system
+
+        monkeypatch.setattr(oracle, "_lp_system", corrupted)
+        with pytest.raises(ValueError, match="must be finite"):
+            lhs_feasible(werner_mub_phenomenon(0.9), qubit_grid(50))
