@@ -326,17 +326,6 @@ def read_measurement_file(path: str) -> tuple[Measurement, ...]:
     return tuple(measurements)
 
 
-def write_measurement_file(path: str, measurements: tuple[Measurement, ...]) -> None:
-    lines = []
-    for meas in measurements:
-        lines.append(f"measurement {meas.label}")
-        for value, effect in zip(meas.values, meas.effects):
-            lines.append(f"outcome {_fmt(value)}")
-            for row in effect:
-                lines.append(" ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def cmd_oracle(args: argparse.Namespace) -> int:
     params = _family_params(args)
     if args.grid < 1:

@@ -11,9 +11,9 @@ Two-stage contract, by design: grid infeasibility is *evidence* only (the
 grid is an inner approximation of the hidden-state set); `certify_steering`
 upgrades a functional to a rigorous verdict by bounding the aggregated Bob
 operator of every deterministic strategy that can attain the maximum by its
-maximum eigenvalue, which is grid-free. The strategies are all of them, or,
-for a qubit Bob with many strategies, those a plane arrangement on the Bloch
-sphere leaves.
+maximum eigenvalue, which is grid-free. For a qubit Bob the strategies are
+those whose closed-form top eigenvalue α + |β| ties the largest; for a qudit
+Bob they are all of them.
 """
 
 from __future__ import annotations
@@ -39,19 +39,10 @@ STRATEGY_CAP = 10**6
 # Strategies per stacked eigvalsh in certify_steering. Its memory grows by
 # about 0.4 kB per strategy in a block; larger blocks measured no faster.
 STRATEGY_BLOCK = 2**12
-# A qubit Bob takes the plane arrangement from this many strategies on, and
-# enumeration below. Per certify_steering call on 2 CPUs, arrangement against
-# enumeration for n two-outcome settings: matched pairs 2^6 0.8 vs 0.2 ms,
-# 2^8 1.4 vs 0.6, 2^10 1.7 vs 1.6, 2^11 1.9 vs 2.9, 2^12 2.1 vs 6.3; all
-# pairs 2^8 3.1 vs 2.3, 2^9 3.8 vs 3.7, 2^10 4.6 vs 6.2.
-ARRANGEMENT_MIN_STRATEGIES = 2**10
-# In the arrangement, outcomes within this fraction of the coefficient scale,
-# times the number of settings, of a setting's best count as tied; planes
-# closer than this to parallel do not meet.
+# A qubit strategy whose α + |β| is within this fraction of the largest entry
+# of a partial operator, times the number of settings, of the largest is
+# evaluated by eigvalsh: about 10^6 times what either way of summing rounds by.
 TIE_RTOL = 1e-9
-# Where more combinations of tied outcomes than this meet at one point, the
-# arrangement gives up and every strategy is evaluated.
-VERTEX_BRANCH_CAP = 8
 # Per-constraint slack band absorbed as feasible (floating-point residue).
 SLACK_BAND = 1e-9
 # An optimal LP solution must meet every bound and equality within this,
@@ -423,115 +414,41 @@ def linear_correlation_functional(strategy: MeasurementStrategy) -> SteeringFunc
     return SteeringFunctional(coeffs=tuple(blocks))
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
-def _off_axis(v: np.ndarray) -> np.ndarray:
-    """Unit vectors orthogonal to each row of v."""
-    axis = np.eye(3)[np.argmin(np.abs(v), axis=-1)]
-    return _unit(np.cross(v, axis))
-
-
-def _plane_points(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Points where the planes c + n·u = 0 meet the unit sphere.
-
-    The pairwise intersections of their circles, one point on each circle,
-    and one fixed point, so that every cell of the arrangement has a point in
-    its closure.
-    """
-    i, j = np.triu_indices(len(normals), 1)
-    d = np.cross(normals[i], normals[j])
-    dd = np.einsum("pk,pk->p", d, d)
-    norms = np.linalg.norm(normals, axis=1)
-    meet = dd > (TIE_RTOL * norms[i] * norms[j]) ** 2
-    i, j, d, dd = i[meet], j[meet], d[meet], dd[meet]
-    # The point of the line of intersection nearest the origin, then ±t along it.
-    foot = np.cross(offsets[j, None] * normals[i] - offsets[i, None] * normals[j], d) / dd[:, None]
-    slack = 1.0 - np.einsum("pk,pk->p", foot, foot)
-    hit = slack >= -TIE_RTOL
-    t = np.sqrt(np.maximum(slack[hit], 0.0) / dd[hit])[:, None]
-    foot, d = foot[hit], d[hit]
-    centers = -(offsets / norms**2)[:, None] * normals
-    radii = np.sqrt(np.maximum(1.0 - np.einsum("pk,pk->p", centers, centers), 0.0))[:, None]
-    return np.concatenate(
-        [foot + t * d, foot - t * d, centers + radii * _off_axis(normals), [[0.0, 0.0, 1.0]]]
-    )
-
-
-def _arrangement_candidates(
+def _qubit_candidates(
     pairing: Sequence[tuple[int, int]], partial_ops: Sequence[np.ndarray], counts: Sequence[int]
 ) -> np.ndarray:
     """Flat product-order indices, sorted, of every strategy that can attain the qubit bound.
 
     Each setting a and outcome A add α_{a,A}·I + β_{a,A}·σ to the aggregated
-    operator, whose top eigenvalue is α + |β|. So the bound is the maximum
-    over unit u of Σ_a max_A (α_{a,A} + β_{a,A}·u), and only a greedy
-    response on some cell of the arrangement of the planes where two
-    outcomes of a setting tie can attain it. Every cell has a point of
-    `_plane_points` in its closure; there the greedy response is branched
-    over the tied outcomes. Returns every strategy instead where a point
-    joins more than VERTEX_BRANCH_CAP tied combinations, or where the
-    arrangement's table of values would pass STRATEGY_CAP entries.
+    operator, whose top eigenvalue is α + |β|. That value is taken for every
+    strategy, from sums over the first and the second half of the settings,
+    and those within TIE_RTOL of the largest are kept.
     """
-    n_settings, k_max, n_strategies = len(counts), max(counts), math.prod(counts)
-    # m planes give at most m² + 1 points, each valued at every outcome.
-    n_planes = sum(k * (k - 1) // 2 for k in counts)
-    if (n_planes**2 + 1) * n_settings * k_max > STRATEGY_CAP:
-        return np.arange(n_strategies)
-    strides = np.array([math.prod(counts[a + 1 :]) for a in range(n_settings)], dtype=np.int64)
-    settings = np.array([a_idx for a_idx, _ in pairing])
-    padded = np.zeros((len(pairing), k_max, 2, 2), dtype=complex)
-    for t, ops_for_entry in enumerate(partial_ops):
-        padded[t, : len(ops_for_entry)] = ops_for_entry
-    ops = np.zeros((n_settings, k_max, 2, 2), dtype=complex)
-    np.add.at(ops, settings, padded)
-    # An outcome whose operators equal an earlier one's in every entry gives the
-    # same aggregated sums bit for bit, so it is never the first maximizer; nor
-    # is any outcome but the first of a setting in no entry.
-    differs = np.zeros((n_settings, k_max, k_max), dtype=bool)
-    np.logical_or.at(differs, settings, (padded[:, :, None] != padded[:, None, :]).any(axis=(3, 4)))
-    live = ~np.tril(~differs, -1).any(axis=2) & (np.arange(k_max) < np.array(counts)[:, None])
-    # eigvalsh reads the lower triangle and the real diagonal.
-    alpha = np.where(live, 0.5 * (ops[..., 0, 0].real + ops[..., 1, 1].real), -np.inf)
-    beta = np.stack(
-        [ops[..., 1, 0].real, ops[..., 1, 0].imag, 0.5 * (ops[..., 0, 0].real - ops[..., 1, 1].real)], axis=-1
-    )
-    finite = np.isfinite(alpha)
-    tol = TIE_RTOL * n_settings * max(np.abs(alpha[finite]).max(), np.abs(beta).max())
-    a_idx, first, second = np.nonzero(finite[:, :, None] & finite[:, None, :])
-    keep = first < second
-    a_idx, first, second = a_idx[keep], first[keep], second[keep]
-    normals = beta[a_idx, first] - beta[a_idx, second]
-    offsets = alpha[a_idx, first] - alpha[a_idx, second]
-    # Tangent planes count: their one point may be all that a strategy wins.
-    norms = np.linalg.norm(normals, axis=1)
-    circle = (norms > 0) & (np.abs(offsets) <= norms + tol)
-    points = _plane_points(normals[circle], offsets[circle])
+    ops = [np.zeros((k, 2, 2), dtype=complex) for k in counts]
+    for (a_idx, _), ops_for_entry in zip(pairing, partial_ops):
+        ops[a_idx] += ops_for_entry
+    # Rows α, β_x, β_y, β_z per outcome; eigvalsh reads the lower triangle and the real diagonal.
+    terms = [
+        np.stack([0.5 * (m[:, 0, 0].real + m[:, 1, 1].real), m[:, 1, 0].real, m[:, 1, 0].imag,
+                  0.5 * (m[:, 0, 0].real - m[:, 1, 1].real)])
+        for m in ops
+    ]
 
-    values = alpha + np.einsum("akc,pc->pak", beta, points)
-    greedy = np.argmax(values, axis=2)
-    tied = values >= values.max(axis=2, keepdims=True) - tol
-    # Where many ties meet (coplanar, repeated or antipodal directions, blocks
-    # below the tolerance), branching approaches every strategy.
-    if np.prod(tied.sum(axis=2), axis=1).max() > VERTEX_BRANCH_CAP:
-        return np.arange(n_strategies)
-    return np.unique(_branch(greedy, tied, strides))
+    def half_sums(settings: range) -> np.ndarray:
+        total = np.zeros((4, 1))
+        for a in settings:
+            total = (total[:, :, None] + terms[a][:, None, :]).reshape(4, -1)
+        return total
 
-
-def _branch(greedy: np.ndarray, tied: np.ndarray, strides: np.ndarray) -> np.ndarray:
-    """Flat indices of every combination of tied outcomes at each point."""
-    indices = greedy @ strides
-    point = np.arange(len(greedy))
-    alternative = tied & (np.arange(tied.shape[2]) != greedy[:, :, None])
-    for a in np.nonzero(alternative.any(axis=(0, 2)))[0]:
-        new_indices, new_points = [indices], [point]
-        for outcome in np.nonzero(alternative[:, a].any(axis=0))[0]:
-            sel = alternative[point, a, outcome]
-            new_indices.append(indices[sel] + (outcome - greedy[point[sel], a]) * strides[a])
-            new_points.append(point[sel])
-        indices, point = np.concatenate(new_indices), np.concatenate(new_points)
-    return indices
+    first, second = half_sums(range(len(counts) // 2)), half_sums(range(len(counts) // 2, len(counts)))
+    values = np.empty((first.shape[1], second.shape[1]))
+    rows = max(1, STRATEGY_BLOCK // second.shape[1])
+    for start in range(0, len(values), rows):
+        part = first[:, start : start + rows, None] + second[:, None, :]
+        values[start : start + rows] = part[0] + np.sqrt(part[1] ** 2 + part[2] ** 2 + part[3] ** 2)
+    # Every term either sum adds is at most this, also where a setting's entries cancel.
+    scale = max(float(np.abs(m).max()) for m in partial_ops)
+    return np.flatnonzero(values >= values.max() - TIE_RTOL * len(counts) * scale)
 
 
 @dataclass(frozen=True)
@@ -550,12 +467,11 @@ def certify_steering(phen: Phenomenon, functional: SteeringFunctional) -> Steeri
     For each deterministic Alice strategy k the hidden-state value of the
     functional is at most the maximum eigenvalue of the aggregated Bob
     operator Σ_{a,B,b} f[k(a),a,B,b]·F_b^B; the bound is the maximum over k.
-    A qubit Bob with at least ARRANGEMENT_MIN_STRATEGIES strategies has only
-    the candidates of `_arrangement_candidates` evaluated; otherwise every
-    strategy is. Either way they are taken in product order, STRATEGY_BLOCK
-    at a time with one stacked eigvalsh per block, and the first maximizer
-    wins, so both give the same bound and strategy. Certification does not
-    depend on any grid.
+    A qubit Bob has only the candidates of `_qubit_candidates` evaluated; a
+    qudit Bob has every strategy evaluated. Either way they are taken in
+    product order, STRATEGY_BLOCK at a time with one stacked eigvalsh per
+    block, and the first maximizer wins, so both give the bound and strategy
+    of a full enumeration. Certification does not depend on any grid.
     """
     bob = phen.strategy.bob
     observed = functional.value(phen)
@@ -570,8 +486,8 @@ def certify_steering(phen: Phenomenon, functional: SteeringFunctional) -> Steeri
         for b_out, effect in enumerate(bob[b_idx].effects):
             ops_for_entry += block[:, b_out, None, None] * effect
         partial_ops.append(ops_for_entry)
-    if dim == 2 and n_strategies >= ARRANGEMENT_MIN_STRATEGIES:
-        indices = _arrangement_candidates(phen.strategy.pairing, partial_ops, counts)
+    if dim == 2:
+        indices = _qubit_candidates(phen.strategy.pairing, partial_ops, counts)
     else:
         indices = np.arange(n_strategies)
     best_bound = -np.inf

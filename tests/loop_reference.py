@@ -6,8 +6,8 @@ code in `steerkit.oracle` must match bit for bit; of the LP solve through
 scipy's `linprog`, which the direct HiGHS call in `lhs_feasible` must match
 bit for bit with HiGHS's presolve off, and with it on where every table
 entry is at least 1e-7, and in verdict everywhere; of the blocked strategy
-enumeration that `certify_steering` ran for every Bob before the plane
-arrangement, which the arrangement must match bit for bit, and of the Bob
+enumeration of every strategy, which `certify_steering` must match bit
+for bit where its qubit screen evaluates only a few, and of the Bob
 tables from a tuple grid stacked on every call; of the removed second and
 third copies of the LP column map (the per-entry dual columns yᵀA and the
 per-strategy model tables A·w), which `y @ A` and `reproduce_tables` must

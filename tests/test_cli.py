@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from steerkit import cli, families
-from steerkit.cli import main, read_measurement_file, write_measurement_file
+from steerkit.cli import main, read_measurement_file
 from steerkit.criteria import CATALOG
 from steerkit.measurements import observable_to_measurement
 from steerkit.oracle import mub_qubit_measurements
-from util import cap_calls
+from util import cap_calls, write_measurement_file
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -66,7 +66,7 @@ for _preset, _mu in (("mub2", "0.72"), ("mub3", "0.6")):
     )
 # The other branches of `oracle`: a feasible grid, an uncertified infeasible
 # one, and a certificate over measurements read from a file (the four cube
-# diagonals, written by `write_measurement_file`: 16 strategies, 65 LP rows).
+# diagonals, written by `util.write_measurement_file`: 16 strategies, 65 LP rows).
 _ORACLE_WERNER = ["oracle", "--family", "werner"]
 CASES.append(
     ("oracle-feasible.txt", [*_ORACLE_WERNER, "--mu", "0.5", "--measurements", "mub3", "--grid", "200"], None)

@@ -6,6 +6,7 @@ with sum in another order.
 
 import functools
 import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -121,9 +122,8 @@ class TestExactBound:
 
 
 @pytest.fixture
-def arrangement(monkeypatch):
-    """Send every qubit certification through the arrangement; returns the size of each eigvalsh stack."""
-    monkeypatch.setattr(oracle, "ARRANGEMENT_MIN_STRATEGIES", 0)
+def eigvalsh_sizes(monkeypatch):
+    """The size of each eigvalsh stack that certify_steering evaluates."""
     evaluated = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -133,6 +133,20 @@ def arrangement(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     return evaluated
+
+
+@pytest.fixture
+def screened(monkeypatch):
+    """Each call of the qubit screen, as (outcome counts, candidate indices)."""
+    calls = []
+    candidates = oracle._qubit_candidates
+
+    def recording_candidates(pairing, partial_ops, counts):
+        calls.append((tuple(counts), candidates(pairing, partial_ops, counts)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(oracle, "_qubit_candidates", recording_candidates)
+    return calls
 
 
 def assert_same_certificate(phen, functional):
@@ -177,27 +191,27 @@ def werner_grid_duals(n_mub, resolution):
 
 
 class TestArrangement:
-    """The qubit arrangement evaluates a few strategies and keeps the enumeration's answer."""
+    """The qubit screen evaluates a few strategies and keeps the enumeration's answer."""
 
     @pytest.mark.parametrize("n", range(1, 17))
-    def test_random_directions(self, rng, arrangement, n):
+    def test_random_directions(self, rng, eigvalsh_sizes, n):
         assert_same_for_directions(rng, unit_directions(rng, n))
 
     @pytest.mark.parametrize("n_mub", [2, 3])
     @pytest.mark.parametrize("resolution", [50, 200, 800])
-    def test_werner_grid_duals(self, arrangement, n_mub, resolution):
+    def test_werner_grid_duals(self, eigvalsh_sizes, n_mub, resolution):
         duals = list(werner_grid_duals(n_mub, resolution))
         assert len(duals) >= 3
         for phen, functional in duals:
             assert_same_certificate(phen, functional)
 
-    def test_tied_strategies_keep_the_first(self, arrangement):
+    def test_tied_strategies_keep_the_first(self, eigvalsh_sizes):
         strategy = all_pairs_strategy(mub_qubit_measurements(3), mub_qubit_measurements(3))
         phen = phenomenon_from_state(werner_state(0.6), strategy)
         assert_same_certificate(phen, linear_correlation_functional(strategy))
 
     @pytest.mark.parametrize("n", [4, 9, 12])
-    def test_degenerate_directions(self, rng, arrangement, n):
+    def test_degenerate_directions(self, rng, eigvalsh_sizes, n):
         half = unit_directions(rng, n // 2)
         axes = np.eye(3)[rng.integers(0, 3, n)] * rng.choice([-1.0, 1.0], (n, 1))
         assert_same_for_directions(rng, np.concatenate([half, half, half[:1]])[:n])  # repeated
@@ -205,32 +219,8 @@ class TestArrangement:
         assert_same_for_directions(rng, coplanar_directions(rng, n))
         assert_same_for_directions(rng, axes, werner_state(0.7))
 
-    def test_every_sampled_cell_is_a_candidate(self, rng, monkeypatch):
-        # The best response at a random point of the sphere is the strategy of
-        # the cell around it. With coplanar directions every circle passes
-        # through ±z, and some cells touch no other point of the arrangement.
-        monkeypatch.setattr(oracle, "ARRANGEMENT_MIN_STRATEGIES", 0)
-        found = []
-        candidates = oracle._arrangement_candidates
-
-        def recording_candidates(pairing, partial_ops, counts):
-            found.append((partial_ops, counts, candidates(pairing, partial_ops, counts)))
-            return found[-1][2]
-
-        monkeypatch.setattr(oracle, "_arrangement_candidates", recording_candidates)
-        for directions in (coplanar_directions(rng, 10), unit_directions(rng, 10)):
-            certify_steering(*matched_linear(directions))
-        for partial_ops, counts, indices in found:
-            ops = np.stack(partial_ops)  # one pairing entry per setting
-            alpha = 0.5 * (ops[..., 0, 0] + ops[..., 1, 1]).real
-            z = 0.5 * (ops[..., 0, 0] - ops[..., 1, 1]).real
-            beta = np.stack([ops[..., 1, 0].real, ops[..., 1, 0].imag, z], -1)
-            values = alpha + np.einsum("akc,pc->pak", beta, unit_directions(rng, 4000))
-            cells = np.ravel_multi_index(tuple(np.argmax(values, axis=2).T), counts)
-            assert set(cells.tolist()) <= set(indices.tolist())
-
     @pytest.mark.parametrize("n", [1, 6])
-    def test_tangent_planes_at_one_point(self, rng, arrangement, n):
+    def test_tangent_planes_at_one_point(self, rng, eigvalsh_sizes, n):
         # With v the Bloch vector of effect 0, outcome 0 gives -v·σ and outcome 1
         # (I - v·σ)/2 on every setting: they tie only at -v, where all 2**n
         # strategies are maximal.
@@ -240,9 +230,9 @@ class TestArrangement:
         tangent = np.array([[-1.0, 1.0], [0.0, 1.0]])
         assert_same_certificate(phen, SteeringFunctional(coeffs=(tangent,) * n))
 
-    def test_tangent_plane_at_a_degenerate_vertex(self, arrangement):
+    def test_tangent_plane_at_a_degenerate_vertex(self, eigvalsh_sizes):
         # The planes x = 0 and y = 0 (twice) meet at ±z, where settings 4 and 7
-        # have tangent planes: 16 tied combinations, past VERTEX_BRANCH_CAP.
+        # have tangent planes: 16 tied combinations.
         # Only the curvature of the sphere tells which outcome of 4 and 7 the
         # quarter x < 0, y < 0 holding the maximum takes.
         x, y, z = np.eye(3)
@@ -255,7 +245,7 @@ class TestArrangement:
         phen, _ = matched_linear(directions)
         assert_same_certificate(phen, SteeringFunctional(coeffs=tuple(np.array(b, dtype=float) for b in blocks)))
 
-    def test_integer_coefficients(self, rng, arrangement):
+    def test_integer_coefficients(self, rng, eigvalsh_sizes):
         # Small integer coefficients tie many strategies exactly.
         axes = np.eye(3)[rng.integers(0, 3, 9)] * rng.choice([-1.0, 1.0], (9, 1))
         for directions in (axes, unit_directions(rng, 9)):
@@ -266,7 +256,7 @@ class TestArrangement:
                     coeffs = tuple(rng.integers(-2, 3, t.probs.shape).astype(float) for t in phen.tables)
                     assert_same_certificate(phen, SteeringFunctional(coeffs=coeffs))
 
-    def test_zero_blocks_and_unpaired_setting(self, rng, arrangement):
+    def test_zero_blocks_and_unpaired_setting(self, rng, eigvalsh_sizes):
         meas = spin_measurements(0.5, unit_directions(rng, 6))
         state = bipartite_from_matrix(random_density_matrix(rng, 4).matrix, 2, 2)
         strategy = all_pairs_strategy(meas, meas)
@@ -283,7 +273,7 @@ class TestArrangement:
         assert cert.maximizing_strategy[2] == 0
         assert_same_certificate(phen, random_functional(rng, phen))
 
-    def test_three_outcome_alice(self, rng, arrangement):
+    def test_three_outcome_alice(self, rng, eigvalsh_sizes):
         bob = spin_measurements(0.5, unit_directions(rng, 3))
         for alice, dim_a in (((trine_povm(),) * 2 + spin_measurements(0.5, unit_directions(rng, 2)), 2),
                              (spin_measurements(1.0, unit_directions(rng, 4)), 3)):
@@ -310,37 +300,26 @@ class TestArrangement:
         )
         state = bipartite_from_matrix(random_density_matrix(rng, 4).matrix, 2, 2)
         phen = phenomenon_from_state(state, strategy)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "ARRANGEMENT_MIN_STRATEGIES", 0)
-            assert_same_certificate(phen, random_functional(rng, phen))
+        assert_same_certificate(phen, random_functional(rng, phen))
 
-    def test_sixteen_settings_skip_enumeration(self, rng, arrangement):
+    def test_sixteen_settings_skip_enumeration(self, rng, eigvalsh_sizes):
         phen, functional = matched_linear(unit_directions(rng, 16))
         assert_same_certificate(phen, functional)
-        arrangement.clear()
+        eigvalsh_sizes.clear()
         certify_steering(phen, functional)
-        assert 0 < sum(arrangement) < 2**16 // 64
+        assert 0 < sum(eigvalsh_sizes) < 2**16 // 64
 
-    def test_scaled_functional_skips_enumeration(self, rng, arrangement):
+    def test_scaled_functional_skips_enumeration(self, rng, eigvalsh_sizes):
         # Ties are judged relative to the coefficients: a functional scaled far
         # below 1 has the same cells, not every outcome tied everywhere.
         phen, functional = matched_linear(unit_directions(rng, 16))
         scaled = SteeringFunctional(coeffs=tuple(1e-12 * c for c in functional.coeffs))
         assert_same_certificate(phen, scaled)
-        arrangement.clear()
+        eigvalsh_sizes.clear()
         certify_steering(phen, scaled)
-        assert 0 < sum(arrangement) < 2**16 // 64
+        assert 0 < sum(eigvalsh_sizes) < 2**16 // 64
 
-    def test_degenerate_vertex_evaluates_every_strategy(self, rng, arrangement):
-        # Every circle of 16 coplanar directions passes through ±z, where all
-        # 2**16 combinations tie.
-        phen, functional = matched_linear(coplanar_directions(rng, 16))
-        assert_same_certificate(phen, functional)
-        arrangement.clear()
-        certify_steering(phen, functional)
-        assert sum(arrangement) == 2**16
-
-    def test_blocks_below_the_tolerance(self, rng, arrangement):
+    def test_blocks_below_the_tolerance(self, rng, eigvalsh_sizes):
         # Blocks ε·F_0 below the tie tolerance tie their two outcomes
         # everywhere, yet at the maximizing direction u of the other settings
         # outcome 0 is worth ε/2 more: 3.5e-9 in all, past CERTIFY_MARGIN.
@@ -359,9 +338,17 @@ class TestArrangement:
             small = tuple(np.array([[eps, 0.0], [0.0, 0.0]]) for eps in (1e-9, 2e-9, 4e-9))
             assert_same_certificate(phen, SteeringFunctional(coeffs=functional.coeffs[:9] + small))
 
-    def test_many_outcomes_evaluate_every_strategy(self, rng, arrangement):
-        # One 16-outcome POVM gives 120 planes: the table of values at their
-        # intersections would pass STRATEGY_CAP entries.
+    def test_sixteen_coplanar_directions(self, rng, eigvalsh_sizes):
+        # Every circle of 16 coplanar directions passes through ±z, where all
+        # 2**16 combinations tie; α + |β| ties only the two opposite maximizers.
+        phen, functional = matched_linear(coplanar_directions(rng, 16))
+        assert_same_certificate(phen, functional)
+        eigvalsh_sizes.clear()
+        certify_steering(phen, functional)
+        assert 0 < sum(eigvalsh_sizes) < 2**16 // 64
+
+    def test_sixteen_outcome_povm(self, rng, eigvalsh_sizes):
+        # One 16-outcome POVM among two-outcome settings: 16 * 2**6 strategies.
         spin = spin_operators(0.5)
         axes = unit_directions(rng, 8)
         effects = [
@@ -375,28 +362,74 @@ class TestArrangement:
         phen = phenomenon_from_state(state, matched_strategy((povm,) + meas[1:], meas))
         functional = random_functional(rng, phen)
         assert_same_certificate(phen, functional)
-        arrangement.clear()
+        eigvalsh_sizes.clear()
         certify_steering(phen, functional)
-        assert sum(arrangement) == 16 * 2**6
+        assert 0 < sum(eigvalsh_sizes) < 16 * 2**6 // 64
 
-    def test_dispatch_by_strategy_count_and_dimension(self, rng, monkeypatch):
-        calls = []
-        candidates = oracle._arrangement_candidates
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_first_maximizer_is_a_candidate(self, rng, screened, scale):
+        # The first maximizer of a full eigvalsh enumeration is what certify_steering
+        # must return. Repeated directions tie many strategies in exact arithmetic,
+        # but not in eigvalsh's.
+        for n in range(1, 11):
+            for directions in (unit_directions(rng, n), np.repeat(unit_directions(rng, 1), n, axis=0)):
+                meas = spin_measurements(0.5, directions)
+                for strategy in (matched_strategy(meas, meas), all_pairs_strategy(meas, meas)):
+                    phen = phenomenon_from_state(werner_state(0.7), strategy)
+                    for draw in (rng.standard_normal, lambda shape: rng.integers(-2, 3, shape).astype(float)):
+                        coeffs = tuple(scale * draw(t.probs.shape) for t in phen.tables)
+                        functional = SteeringFunctional(coeffs=coeffs)
+                        screened.clear()
+                        certify_steering(phen, functional)
+                        (counts, indices), = screened
+                        _, first = exact_bound_blocks(phen, functional)
+                        assert np.ravel_multi_index(first, counts) in indices
 
-        def recording_candidates(pairing, partial_ops, counts):
-            calls.append(len(counts))
-            return candidates(pairing, partial_ops, counts)
+    def test_cancelling_entries(self, rng):
+        # Two entries of a setting cancel to 0 exactly, but not once the running
+        # sum of the other settings is added: eigvalsh then reads strategies
+        # 1e-5 apart to about 1e-4, so ties are judged on the entries' scale.
+        n = 8
+        alice = spin_measurements(0.5, np.repeat(unit_directions(rng, 1), n, axis=0))
+        bob = spin_measurements(0.5, unit_directions(rng, 2))
+        pairing = tuple((a, b) for a in range(n) for b in (0, 0, 1))
+        phen = phenomenon_from_state(werner_state(0.7), MeasurementStrategy(alice=alice, bob=bob, pairing=pairing))
+        for _ in range(8):
+            coeffs = []
+            for _ in range(n):
+                big = 1e12 * rng.standard_normal((2, 2))
+                coeffs += [big, -big, rng.integers(-2, 3, (2, 2)) + 1e-5 * rng.standard_normal((2, 2))]
+            assert_same_certificate(phen, SteeringFunctional(coeffs=tuple(coeffs)))
 
-        monkeypatch.setattr(oracle, "_arrangement_candidates", recording_candidates)
-        n = (oracle.ARRANGEMENT_MIN_STRATEGIES - 1).bit_length()  # least n with 2**n at the constant
-        for k in (n - 1, n):
-            assert_same_certificate(*matched_linear(unit_directions(rng, k)))
-        assert calls == [n]
+    def test_zero_functional_ties_every_strategy(self, rng, screened):
+        meas = spin_measurements(0.5, unit_directions(rng, 6))
+        phen = phenomenon_from_state(werner_state(0.7), all_pairs_strategy(meas, meas))
+        zero = SteeringFunctional(coeffs=tuple(np.zeros(t.probs.shape) for t in phen.tables))
+        assert_same_certificate(phen, zero)
+        (_, indices), = screened
+        assert np.array_equal(indices, np.arange(2**6))
+
+    def test_dispatch_by_dimension(self, rng, screened):
+        for n in range(1, 17):
+            certify_steering(*matched_linear(unit_directions(rng, n)))
+        assert [len(counts) for counts, _ in screened] == list(range(1, 17))
         spin1 = spin_measurements(1.0, unit_directions(rng, 7))  # 3**7 strategies, qutrit Bob
         state = bipartite_from_matrix(random_density_matrix(rng, 9).matrix, 3, 3)
         phen = phenomenon_from_state(state, matched_strategy(spin1, spin1))
         assert_same_certificate(phen, random_functional(rng, phen))
-        assert calls == [n]
+        assert len(screened) == 16
+
+    def test_sixteen_settings_peak_memory(self, rng):
+        # The screen fills its values STRATEGY_BLOCK at a time: 0.9 MB at
+        # 2**16 strategies, against 3.5 MB in one block.
+        phen, functional = matched_linear(unit_directions(rng, 16))
+        tracemalloc.start()
+        try:
+            certify_steering(phen, functional)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def qutrit_phenomenon(rng):

@@ -2,7 +2,9 @@
 
 Each fenced `python` block of README.md runs in a fresh namespace; a line
 `print(...)  # expected` must print exactly `expected`, and every line the
-block prints must come from such a print.
+block prints must come from such a print. Each constant the README gives a
+value for, as `` `NAME` = v `` or `` `NAME`, v ``, has that value in
+`steerkit.oracle`.
 """
 
 import contextlib
@@ -12,9 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from steerkit import oracle
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), flags=re.MULTILINE | re.DOTALL)
 CHECKED_PRINT = re.compile(r"^print\(.*\)\s+# (.*)$")
+CONSTANTS = re.findall(r"`([A-Z][A-Z0-9_]*)`(?: =|,)\s+(\d+(?:\^\d+|(?:\.\d+)?(?:e-?\d+)?))", README.read_text())
 
 
 def test_readme_has_python_examples():
@@ -28,3 +33,13 @@ def test_block_prints_its_comments(block):
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {"__name__": "readme_example"})
     assert out.getvalue().splitlines() == expected
+
+
+def test_readme_names_constants():
+    assert {name for name, _ in CONSTANTS} >= {"STRATEGY_BLOCK", "STRATEGY_CAP"}
+
+
+@pytest.mark.parametrize(("name", "value"), CONSTANTS, ids=[f"{name}={value}" for name, value in CONSTANTS])
+def test_constant_matches_readme(name, value):
+    base, _, exponent = value.partition("^")
+    assert getattr(oracle, name) == (int(base) ** int(exponent) if exponent else float(value))

@@ -1,8 +1,13 @@
-"""Shared random-state and random-measurement helpers, and the assemblage of criterion 8, for the test suite."""
+"""Shared helpers for the test suite.
+
+Random states and measurements, the assemblage of criterion 8, and a writer
+for the measurement files the CLI reads.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -115,6 +120,18 @@ def implication_trial(rng: np.random.Generator) -> tuple[BipartiteState, Inferen
         ops.jz,
     ]
     return state, _triad_plan(triad)
+
+
+def write_measurement_file(path: str, measurements: tuple[Measurement, ...]) -> None:
+    """Write measurements in the format `steerkit.cli.read_measurement_file` reads, every number to 17 digits."""
+    lines = []
+    for meas in measurements:
+        lines.append(f"measurement {meas.label}")
+        for value, effect in zip(meas.values, meas.effects):
+            lines.append(f"outcome {float(value):.17g}")
+            for row in effect:
+                lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def cap_calls(monkeypatch, module, name: str, cap: int) -> list[int]:
