@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -275,6 +278,58 @@ class GridInfeasible:
         return False
 
 
+# scipy's HiGHS extension, the one part of scipy.optimize the oracle calls.
+_HIGHS_BINDING = "scipy.optimize._highspy._core"
+
+
+def _highs_binding() -> ModuleType:
+    """scipy's HiGHS extension alone: 20-30 ms and 4 MB, where scipy.optimize takes 0.5 s and 47 MB.
+
+    It is registered under its full name, so a later `import scipy.optimize`
+    uses it, and one already imported is returned as it is. The import system
+    sets a package attribute only for a submodule it loads itself, so
+    `scipy.optimize._highspy` then lacks `_core`; importing it by name works.
+    """
+    if _HIGHS_BINDING in sys.modules:
+        return sys.modules[_HIGHS_BINDING]
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+    from importlib.util import module_from_spec
+
+    import scipy
+
+    directory = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_HIGHS_BINDING)
+    if spec is None:
+        raise ImportError(f"no HiGHS binding _core in {directory} (scipy {scipy.__version__})")
+    module = module_from_spec(spec)
+    sys.modules[_HIGHS_BINDING] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        sys.modules.pop(_HIGHS_BINDING, None)
+        raise
+    return module
+
+
+def _highs_columns(a_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column starts, row indices and values of [A, I, -I], column by column.
+
+    These are the indptr[:-1], indices and data of scipy's
+    csc_array(np.hstack([A, I, -I])) to the byte: exact zeros (and -0.0) of A
+    are left out, and each column lists its rows in ascending order. Every
+    index comes from A's own shape, so all of them are below its row count.
+    """
+    n_rows = len(a_mat)
+    nonzero = a_mat.T != 0
+    counts = np.count_nonzero(nonzero, axis=1)
+    a_data = a_mat.T[nonzero]
+    slack = np.arange(n_rows)
+    starts = np.concatenate([np.cumsum(counts) - counts, len(a_data) + np.arange(2 * n_rows)])
+    indices = np.concatenate([np.nonzero(nonzero)[1], slack, slack])
+    data = np.concatenate([a_data, np.ones(n_rows), -np.ones(n_rows)])
+    return starts.astype(np.int32), indices.astype(np.int32), data
+
+
 def lhs_feasible(phen: Phenomenon, grid: HiddenStateGrid) -> GridFeasible | GridInfeasible:
     """Decide hidden-state feasibility of the phenomenon over the grid.
 
@@ -286,19 +341,17 @@ def lhs_feasible(phen: Phenomenon, grid: HiddenStateGrid) -> GridFeasible | Grid
     The program goes straight to the HiGHS binding that scipy bundles, with
     the model and options `linprog(method="highs")` would hand it, and comes
     back through `linprog`'s checks: finite input, an optimal status, and a
-    solution within LP_CHECK_TOL of every bound and equality.
+    solution within LP_CHECK_TOL of every bound and equality. Of scipy, only
+    that binding is loaded; the matrix is built in numpy, as `csc_array`'s bytes.
     """
-    # Imported here, not with the module: scipy.optimize is about 50 MB and
-    # 0.5 s of import, and only the LP needs it.
-    from scipy.optimize._highspy import _core as highs_core
-    from scipy.sparse import csc_array
-
+    # Loaded here, not with the module, and alone (see _highs_binding).
+    highs_core = _highs_binding()
     a_mat, b_vec, n_strategies = _lp_system(phen, grid)
     n_rows, n_cols = a_mat.shape
     n_vars = n_cols + 2 * n_rows
     cost = np.concatenate([np.zeros(n_cols), np.ones(2 * n_rows)])
-    a_eq = csc_array(np.hstack([a_mat, np.eye(n_rows), -np.eye(n_rows)]))
-    if not all(np.isfinite(v).all() for v in (cost, a_eq.data, b_vec)):
+    starts, indices, data = _highs_columns(a_mat)
+    if not all(np.isfinite(v).all() for v in (cost, data, b_vec)):
         raise ValueError("LP system must be finite")
     highs = highs_core._Highs()
     # Set before the model is passed, so that HiGHS prints no banner. HiGHS's
@@ -310,12 +363,12 @@ def lhs_feasible(phen: Phenomenon, grid: HiddenStateGrid) -> GridFeasible | Grid
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("presolve", "off")
     highs.setOptionValue("simplex_strategy", int(highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
-    # The binding reads these arrays through raw pointers: every length comes
-    # from a_eq, whose indices are all below n_rows.
+    # The binding reads these arrays through raw pointers and checks no index:
+    # every length comes from _highs_columns, whose indices are all below n_rows.
     highs.passModel(
-        n_vars, n_rows, a_eq.nnz, int(highs_core.MatrixFormat.kColwise), int(highs_core.ObjSense.kMinimize), 0.0,
+        n_vars, n_rows, len(data), int(highs_core.MatrixFormat.kColwise), int(highs_core.ObjSense.kMinimize), 0.0,
         cost, np.zeros(n_vars), np.full(n_vars, highs_core.kHighsInf), b_vec, b_vec,
-        a_eq.indptr[:-1], a_eq.indices, a_eq.data, np.zeros(n_vars, dtype=np.int32),
+        starts, indices, data, np.zeros(n_vars, dtype=np.int32),
     )
     # A model HiGHS refuses stays unloaded, and an empty model is not optimal.
     highs.run()
@@ -359,6 +412,14 @@ class SteeringFunctional:
         """Σ f[A,a,B,b]·P(A,B|a,b), exactly as summed over the tables."""
         if len(self.coeffs) != len(phen.tables):
             raise ValueError("functional does not match the phenomenon's pairing")
+        # A block of another shape would broadcast against its table.
+        for i, ((a_idx, b_idx), c, t) in enumerate(zip(phen.strategy.pairing, self.coeffs, phen.tables)):
+            if c.shape != t.probs.shape:
+                raise ValueError(
+                    f"functional block {i} has shape {c.shape}, but pairing entry {i}"
+                    f" (Alice {phen.strategy.alice[a_idx].label!r}, Bob {phen.strategy.bob[b_idx].label!r})"
+                    f" has a {t.probs.shape} table"
+                )
         return float(sum(np.sum(c * t.probs) for c, t in zip(self.coeffs, phen.tables)))
 
 

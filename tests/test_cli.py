@@ -3,10 +3,7 @@ import ast
 import csv
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +14,7 @@ from steerkit.cli import main, read_measurement_file
 from steerkit.criteria import CATALOG
 from steerkit.measurements import observable_to_measurement
 from steerkit.oracle import mub_qubit_measurements
-from util import cap_calls, write_measurement_file
+from util import cap_calls, fresh_interpreter, write_measurement_file
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -395,28 +392,26 @@ class TestOracleCommand:
         assert code == 0
         assert "tag=run-7" in out
 
-    def test_only_the_oracle_imports_scipy_optimize(self):
-        # scipy.optimize costs about 50 MB and 0.5 s of import, so only the LP
-        # solve imports it. A fresh interpreter sees what each command loads.
-        script = """
+    def test_no_command_imports_scipy_optimize(self):
+        # scipy.optimize and scipy.sparse cost about 0.5 s and 47 MB of import,
+        # so no command imports them: the oracle loads only scipy's HiGHS
+        # binding, and only when it solves. A fresh interpreter sees what each
+        # command loads.
+        out = fresh_interpreter("""
 import contextlib, io, sys
 from steerkit.cli import main
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(list(argv)) == 0
+def loaded():
+    print(*(name in sys.modules for name in ("scipy.optimize", "scipy.sparse", "scipy.optimize._highspy._core")))
 run("eval", "--family", "werner", "--mu", "0.8", "--criterion", "linear-3")
 run("sweep", "--criterion", "linear-3", "--family", "werner", "--param", "mu", "--grid", "0:1:3")
-print("scipy.optimize" in sys.modules)
-run("oracle", "--family", "werner", "--mu", "0.4", "--measurements", "mub2", "--grid", "20")
-print("scipy.optimize" in sys.modules)
-"""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
+loaded()
+run("oracle", "--family", "werner", "--mu", "0.6", "--measurements", "mub3", "--grid", "20", "--certify")
+loaded()
+""")
+        assert out.splitlines() == ["False False False", "False False True"]
 
 
 class TestMeasurementFile:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,12 @@ import pytest
 from steerkit import oracle
 from steerkit.core import bipartite_from_matrix, spin_operators, tensor_product
 from steerkit.families import werner_state
-from steerkit.measurements import JointDistribution, all_pairs_strategy, observable_to_measurement
+from steerkit.measurements import (
+    JointDistribution,
+    MeasurementStrategy,
+    all_pairs_strategy,
+    observable_to_measurement,
+)
 from steerkit.oracle import (
     GridFeasible,
     GridInfeasible,
@@ -24,11 +30,12 @@ from steerkit.oracle import (
     random_pure_grid,
     reproduce_tables,
 )
-from util import cap_calls, random_density_matrix
+from util import cap_calls, fresh_interpreter, random_density_matrix
 
 MUB3 = mub_qubit_measurements(3)
 MUB2 = mub_qubit_measurements(2)
 STRATEGY3 = all_pairs_strategy(MUB3, MUB3)
+MATCHED3 = MeasurementStrategy(alice=MUB3, bob=MUB3, pairing=((0, 0), (1, 1), (2, 2)))
 STRATEGY2 = all_pairs_strategy(MUB2, MUB2)
 
 
@@ -227,6 +234,28 @@ class TestDualCertification:
         manual = sum(float(np.sum(c * t.probs)) for c, t in zip(functional.coeffs, phen.tables))
         assert functional.value(phen) == manual
 
+    @pytest.mark.parametrize(
+        ("strategy", "entry"),
+        [(MATCHED3, 0), (MATCHED3, 1), (MATCHED3, 2), (STRATEGY3, 5)],
+        ids=["matched-0", "matched-1", "matched-2", "all-pairs-5"],
+    )
+    def test_block_of_wrong_shape_rejected(self, strategy, entry):
+        # Unchecked, a 1x2 block broadcasts against its 2x2 table: value()
+        # returns a wrong number and certify_steering raises an IndexError.
+        phen = werner_phenomenon(0.9, strategy)
+        blocks = [np.ones(t.probs.shape) for t in phen.tables]
+        blocks[entry] = np.array([[1.0, -1.0]])
+        functional = SteeringFunctional(coeffs=tuple(blocks))
+        a_idx, b_idx = strategy.pairing[entry]
+        message = re.escape(
+            f"functional block {entry} has shape (1, 2), but pairing entry {entry}"
+            f" (Alice {MUB3[a_idx].label!r}, Bob {MUB3[b_idx].label!r}) has a (2, 2) table"
+        )
+        with pytest.raises(ValueError, match=message):
+            functional.value(phen)
+        with pytest.raises(ValueError, match=message):
+            certify_steering(phen, functional)
+
     def test_certificate_survives_independent_recheck(self):
         # Recompute both sides of a certificate from scratch: the observed
         # value from the tables, the bound by brute-force enumeration over
@@ -293,3 +322,83 @@ class TestFeasibilityFlip:
         grid = qubit_grid(200)
         flip = feasibility_flip(lambda mu: werner_phenomenon(mu, STRATEGY2), grid, tol=2e-3)
         assert abs(flip - 1 / math.sqrt(2)) < 0.02
+
+
+class TestHighsBinding:
+    """The oracle loads scipy's HiGHS extension alone, as the module scipy.optimize itself uses.
+
+    Each case runs in a fresh interpreter, since the test process has long
+    since imported scipy.optimize.
+    """
+
+    SOLVE = """
+from steerkit import oracle
+from steerkit.families import werner_state
+from steerkit.measurements import all_pairs_strategy
+mub2 = oracle.mub_qubit_measurements(2)
+phen = oracle.phenomenon_from_state(werner_state(0.9), all_pairs_strategy(mub2, mub2))
+print(oracle.lhs_feasible(phen, oracle.qubit_grid(50)).feasible)
+"""
+
+    def test_scipy_optimize_after_the_oracle(self):
+        out = fresh_interpreter(self.SOLVE + """
+import sys
+binding = oracle._highs_binding()
+print("scipy.optimize" in sys.modules)
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+import scipy.optimize._highspy._highs_wrapper as wrapper
+res = linprog([1, 2], A_eq=[[1, 1]], b_eq=[1], method="highs")
+print(res.status, res.x.tolist())
+print(_core is binding, wrapper._h is binding, sys.modules[oracle._HIGHS_BINDING] is binding)
+""")
+        assert out.splitlines() == ["False", "False", "0 [1.0, 0.0]", "True True True"]
+
+    def test_oracle_after_scipy_optimize(self):
+        out = fresh_interpreter("""
+import scipy.optimize
+from scipy.optimize._highspy import _core
+""" + self.SOLVE + """
+print(oracle._highs_binding() is _core)
+""")
+        assert out.splitlines() == ["False", "True"]
+
+    def test_scipy_without_the_binding(self, tmp_path):
+        # A scipy tree whose optimize/_highspy holds no extension.
+        package = tmp_path / "scipy"
+        (package / "optimize" / "_highspy").mkdir(parents=True)
+        (package / "__init__.py").write_text('__version__ = "0.0.test"\n')
+        out = fresh_interpreter("""
+import sys
+from steerkit import oracle
+try:
+    oracle._highs_binding()
+except ImportError as error:
+    print(error)
+print(oracle._HIGHS_BINDING in sys.modules)
+""", tmp_path)
+        directory = package / "optimize" / "_highspy"
+        assert out.splitlines() == [f"no HiGHS binding _core in {directory} (scipy 0.0.test)", "False"]
+
+    def test_failed_load_leaves_no_module(self):
+        # As importlib does, a module whose execution raises is taken out of
+        # sys.modules, and the next call loads it afresh.
+        out = fresh_interpreter("""
+import sys
+from importlib.machinery import ExtensionFileLoader
+from steerkit import oracle
+real = ExtensionFileLoader.exec_module
+def fail(loader, module):
+    if module.__name__ != oracle._HIGHS_BINDING:
+        return real(loader, module)
+    print(sys.modules[module.__name__] is module)
+    raise RuntimeError("exec_module failed")
+ExtensionFileLoader.exec_module = fail
+try:
+    oracle._highs_binding()
+except RuntimeError as error:
+    print(error)
+print(oracle._HIGHS_BINDING in sys.modules)
+ExtensionFileLoader.exec_module = real
+""" + self.SOLVE)
+        assert out.splitlines() == ["True", "exec_module failed", "False", "False"]

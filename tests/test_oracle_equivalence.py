@@ -708,6 +708,50 @@ class TestDirectHighs:
         assert_same_solve(qutrit_phenomenon(rng), hidden_state_grid(3, 200), loop_reference.lhs_feasible_linprog)
 
 
+def assert_same_columns(a_mat):
+    """`_highs_columns` gives scipy's CSC arrays of [A, I, -I], byte for byte."""
+    from scipy.sparse import csc_array
+
+    n_rows = len(a_mat)
+    ref = csc_array(np.hstack([a_mat, np.eye(n_rows), -np.eye(n_rows)]))
+    got = oracle._highs_columns(a_mat)
+    for array, expected in zip(got, (ref.indptr[:-1], ref.indices, ref.data)):
+        assert array.dtype == expected.dtype
+        assert array.tobytes() == expected.tobytes()
+
+
+class TestHighsColumns:
+    """The column-wise arrays handed to HiGHS are those of `csc_array`, so the model is the same bytes."""
+
+    @pytest.mark.parametrize("mu", [0.6, pytest.param(None, id="singlet")])
+    @pytest.mark.parametrize("resolution", [1, 50, 800])
+    @pytest.mark.parametrize("n_mub", [2, 3])
+    def test_werner_mub(self, n_mub, resolution, mu):
+        assert_same_columns(oracle._lp_system(mub_phenomenon(n_mub, mu), qubit_grid(resolution))[0])
+
+    def test_qutrit_random_pure_grid(self, rng):
+        assert_same_columns(oracle._lp_system(qutrit_phenomenon(rng), random_pure_grid(3, 50))[0])
+
+    def test_zero_bob_probabilities(self):
+        # Jz finds |0><0| and |1><1| each in one outcome only, so Q holds exact zeros.
+        spin = spin_operators(0.5)
+        alice = tuple(observable_to_measurement(op, label) for label, op in (("Jz", spin.jz), ("Jx", spin.jx)))
+        bob = (observable_to_measurement(spin.jz, "Jz"),)
+        strategy = MeasurementStrategy(alice=alice, bob=bob, pairing=((0, 0), (1, 0)))
+        states = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2) / 2])
+        grid = oracle.HiddenStateGrid(matrices=states, resolution=2)
+        a_mat = oracle._lp_system(phenomenon_from_state(werner_state(0.6), strategy), grid)[0]
+        # The strategy mask alone zeros half of the table rows; Q's zeros add more.
+        assert np.count_nonzero(a_mat[:-1] == 0) > a_mat[:-1].size / 2
+        assert_same_columns(a_mat)
+
+    def test_signed_zeros_and_non_finite_entries(self, rng):
+        # -0.0 is dropped like 0.0; NaN and inf stay, for the finiteness check to find.
+        a_mat = rng.choice([0.0, -0.0, 0.25, -1.5, math.nan, math.inf], size=(7, 30))
+        assert np.signbit(a_mat[a_mat == 0]).any()
+        assert_same_columns(a_mat)
+
+
 class TestSolveFailure:
     """What `linprog` reported as a failed solve raises, whatever verdict the numbers would give."""
 

@@ -1,11 +1,15 @@
 """Shared helpers for the test suite.
 
-Random states and measurements, the assemblage of criterion 8, and a writer
-for the measurement files the CLI reads.
+Random states and measurements, the assemblage of criterion 8, a writer
+for the measurement files the CLI reads, and a fresh interpreter to see what
+a run imports.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,6 +136,23 @@ def write_measurement_file(path: str, measurements: tuple[Measurement, ...]) -> 
             for row in effect:
                 lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def fresh_interpreter(script: str, *first_on_path: Path) -> str:
+    """Stdout of `script` run by a new Python with steerkit's source on its path.
+
+    `first_on_path` directories come before the source, so they can shadow an
+    installed package. The script must exit 0.
+    """
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    path = [*map(str, first_on_path), str(root / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def cap_calls(monkeypatch, module, name: str, cap: int) -> list[int]:
