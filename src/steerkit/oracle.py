@@ -214,44 +214,42 @@ def _strategy_block(outcome_counts: Sequence[int], indices: np.ndarray) -> tuple
 
 
 def _bob_probability_table(grid: HiddenStateGrid, bob: Sequence[Measurement]) -> tuple[np.ndarray, ...]:
-    """Q[b][B, l] = Tr[F_B^b ρ_l] for every Bob measurement and grid state; read-only."""
+    """Q[b][B, l] = Tr[F_B^b ρ_l] for every Bob measurement and grid state; read-only.
+
+    The einsum trace has np.trace's bytes for d ≤ 3; above, the last bit can differ (no CLI grid has d > 2).
+    """
     tables = []
     for meas in bob:
         if meas.dim != grid.dim:
             raise ValueError(f"Bob measurement {meas.label!r} dimension mismatch with grid")
         products = np.stack(meas.effects)[:, None] @ grid.matrices[None]
-        table = np.real(np.trace(products, axis1=-2, axis2=-1))
+        table = np.einsum("...ii->...", products).real
         table.setflags(write=False)
         tables.append(table)
     return tuple(tables)
 
 
-def _lp_system(phen: Phenomenon, grid: HiddenStateGrid) -> tuple[np.ndarray, np.ndarray, int]:
-    """Equality system A·w = b over weights w[strategy, grid state] ≥ 0.
+def _column_map(phen: Phenomenon, grid: HiddenStateGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The system A·w = b over weights w[strategy, grid state] ≥ 0, as rows, values and b.
 
-    One row per (pairing entry, Alice outcome, Bob outcome), plus a final
-    normalization row Σw = 1. Column k·n_states + l is strategy k with grid
-    state l. Also returns the number of strategies.
+    A has one row per (pairing entry, Alice outcome, Bob outcome), then a normalization row Σw = 1.
+    Column k·n_states + l holds values[l] in the ascending rows rows[k], and 0 elsewhere: per
+    pairing entry (a, b), Q[b][:, l] in the rows of strategy k's answer to a; then 1.
     """
     counts = [m.n_outcomes for m in phen.strategy.alice]
-    n_strategies = _strategy_count(counts)
-    outcomes = _strategy_block(counts, np.arange(n_strategies))
+    outcomes = _strategy_block(counts, np.arange(_strategy_count(counts)))
     q_tables = _bob_probability_table(grid, phen.strategy.bob)
-    n_rows = sum(t.probs.size for t in phen.tables) + 1
-    a_mat = np.empty((n_rows, n_strategies * len(grid.matrices)))
-    b_vec = np.empty(n_rows)
-    row = 0
+    rows, values = [], []
+    first = 0
     for (a_idx, b_idx), table in zip(phen.strategy.pairing, phen.tables):
-        n_a, n_b = table.probs.shape
-        # block[A, B, k, l] = Q[b][B, l] where strategy k answers A to setting a, else 0.
-        answers = outcomes[a_idx][:, None] == np.arange(n_a)[:, None, None, None]
-        block = np.where(answers, q_tables[b_idx][None, :, None, :], 0.0)
-        a_mat[row : row + n_a * n_b] = block.reshape(n_a * n_b, -1)
-        b_vec[row : row + n_a * n_b] = table.probs.ravel()
-        row += n_a * n_b
-    a_mat[row, :] = 1.0
-    b_vec[row] = 1.0
-    return a_mat, b_vec, n_strategies
+        n_b = table.probs.shape[1]
+        rows.append(first + n_b * outcomes[a_idx][:, None] + np.arange(n_b))
+        values.append(q_tables[b_idx])
+        first += table.probs.size
+    rows.append(np.full((len(outcomes[0]), 1), first))
+    values.append(np.ones((1, len(grid.matrices))))
+    b_vec = np.concatenate([t.probs.ravel() for t in phen.tables] + [np.ones(1)])
+    return np.hstack(rows), np.vstack(values).T, b_vec
 
 
 @dataclass(frozen=True)
@@ -311,23 +309,33 @@ def _highs_binding() -> ModuleType:
     return module
 
 
-def _highs_columns(a_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column starts, row indices and values of [A, I, -I], column by column.
+def _highs_model(highs_core: ModuleType, rows: np.ndarray, values: np.ndarray, b_vec: np.ndarray) -> tuple:
+    """passModel's arguments for min Σ(u + v) s.t. A·w + u - v = b, w,u,v ≥ 0, from the column map.
 
-    These are the indptr[:-1], indices and data of scipy's
-    csc_array(np.hstack([A, I, -I])) to the byte: exact zeros (and -0.0) of A
-    are left out, and each column lists its rows in ascending order. Every
-    index comes from A's own shape, so all of them are below its row count.
+    The column starts, row indices and values are the indptr[:-1], indices
+    and data of scipy's csc_array(np.hstack([A, I, -I])) to the byte: exact
+    zeros (and -0.0) of the values are left out, each column lists its rows
+    in ascending order, and the indices are int32. The binding reads these
+    arrays through raw pointers and checks no index, so they are checked
+    here: a bad one would crash the interpreter instead of raising.
     """
-    n_rows = len(a_mat)
-    nonzero = a_mat.T != 0
-    counts = np.count_nonzero(nonzero, axis=1)
-    a_data = a_mat.T[nonzero]
+    n_rows = len(b_vec)
+    n_vars = len(rows) * len(values) + 2 * n_rows
+    kept = values != 0  # NaN is kept, as csc_array keeps it
+    per_column = np.concatenate([np.tile(np.count_nonzero(kept, axis=1), len(rows)), np.ones(2 * n_rows, int)])
+    starts = (np.cumsum(per_column) - per_column).astype(np.int32)
     slack = np.arange(n_rows)
-    starts = np.concatenate([np.cumsum(counts) - counts, len(a_data) + np.arange(2 * n_rows)])
-    indices = np.concatenate([np.nonzero(nonzero)[1], slack, slack])
-    data = np.concatenate([a_data, np.ones(n_rows), -np.ones(n_rows)])
-    return starts.astype(np.int32), indices.astype(np.int32), data
+    indices = np.concatenate([rows[:, np.nonzero(kept)[1]].ravel(), slack, slack], dtype=np.int32)
+    data = np.concatenate([np.tile(values[kept], len(rows)), np.ones(n_rows), -np.ones(n_rows)])
+    if not (len(starts) == n_vars and len(indices) == len(data) and starts[0] == 0 <= np.diff(starts).min()
+            and starts[-1] <= len(data) and 0 <= indices.min() and indices.max() < n_rows):
+        raise ValueError(f"LP columns need matching lengths, non-decreasing starts and row indices in [0, {n_rows})")
+    cost = np.concatenate([np.zeros(n_vars - 2 * n_rows), np.ones(2 * n_rows)])
+    return (
+        n_vars, n_rows, len(data), int(highs_core.MatrixFormat.kColwise), int(highs_core.ObjSense.kMinimize), 0.0,
+        cost, np.zeros(n_vars), np.full(n_vars, highs_core.kHighsInf), b_vec, b_vec,
+        starts, indices, data, np.zeros(n_vars, dtype=np.int32),
+    )
 
 
 def lhs_feasible(phen: Phenomenon, grid: HiddenStateGrid) -> GridFeasible | GridInfeasible:
@@ -342,16 +350,13 @@ def lhs_feasible(phen: Phenomenon, grid: HiddenStateGrid) -> GridFeasible | Grid
     the model and options `linprog(method="highs")` would hand it, and comes
     back through `linprog`'s checks: finite input, an optimal status, and a
     solution within LP_CHECK_TOL of every bound and equality. Of scipy, only
-    that binding is loaded; the matrix is built in numpy, as `csc_array`'s bytes.
+    that binding is loaded. A is never formed: `_highs_model` writes its
+    column-wise arrays, `csc_array`'s bytes, straight from the column map.
     """
     # Loaded here, not with the module, and alone (see _highs_binding).
     highs_core = _highs_binding()
-    a_mat, b_vec, n_strategies = _lp_system(phen, grid)
-    n_rows, n_cols = a_mat.shape
-    n_vars = n_cols + 2 * n_rows
-    cost = np.concatenate([np.zeros(n_cols), np.ones(2 * n_rows)])
-    starts, indices, data = _highs_columns(a_mat)
-    if not all(np.isfinite(v).all() for v in (cost, data, b_vec)):
+    rows, values, b_vec = _column_map(phen, grid)
+    if not (np.isfinite(values).all() and np.isfinite(b_vec).all()):
         raise ValueError("LP system must be finite")
     highs = highs_core._Highs()
     # Set before the model is passed, so that HiGHS prints no banner. HiGHS's
@@ -363,13 +368,8 @@ def lhs_feasible(phen: Phenomenon, grid: HiddenStateGrid) -> GridFeasible | Grid
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("presolve", "off")
     highs.setOptionValue("simplex_strategy", int(highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
-    # The binding reads these arrays through raw pointers and checks no index:
-    # every length comes from _highs_columns, whose indices are all below n_rows.
-    highs.passModel(
-        n_vars, n_rows, len(data), int(highs_core.MatrixFormat.kColwise), int(highs_core.ObjSense.kMinimize), 0.0,
-        cost, np.zeros(n_vars), np.full(n_vars, highs_core.kHighsInf), b_vec, b_vec,
-        starts, indices, data, np.zeros(n_vars, dtype=np.int32),
-    )
+    # HiGHS copies the model, so the column arrays are freed before the solve.
+    highs.passModel(*_highs_model(highs_core, rows, values, b_vec))
     # A model HiGHS refuses stays unloaded, and an empty model is not optimal.
     highs.run()
     status = highs.getModelStatus()
@@ -385,8 +385,8 @@ def lhs_feasible(phen: Phenomenon, grid: HiddenStateGrid) -> GridFeasible | Grid
             f"LP solver failed (status {highs.modelStatusToString(status)}): the solution misses a bound"
             f" or an equality by more than {LP_CHECK_TOL:.2e}"
         )
-    if violation <= SLACK_BAND * n_rows:
-        weights = x[:n_cols].reshape(n_strategies, len(grid.matrices))
+    if violation <= SLACK_BAND * len(b_vec):
+        weights = x[: len(rows) * len(values)].reshape(len(rows), len(values))
         return GridFeasible(weights=weights, residual=violation)
     dual = np.array(solution.row_dual)
     if dual @ b_vec < 0:
@@ -446,14 +446,15 @@ def functional_from_dual(
     ≤ -y_norm by construction; only `certify_steering` turns it into a
     rigorous grid-free verdict.
     """
-    a_mat, b_vec, _ = _lp_system(phen, grid)
+    rows, values, b_vec = _column_map(phen, grid)
     y = np.asarray(infeasible.dual, dtype=float)
     if y.shape != b_vec.shape:
         raise ValueError(f"dual length {y.shape} does not match {b_vec.size} constraints")
     if not np.isfinite(y).all():
         raise ValueError("dual must be finite")
     scale = max(1.0, float(np.max(np.abs(y))))
-    if float(np.max(y @ a_mat)) > 1e-7 * scale or float(y @ b_vec) <= 0:
+    # yᵀA on column (k, l) is y[rows[k]]·values[l].
+    if float(np.max(y[rows] @ values.T)) > 1e-7 * scale or float(y @ b_vec) <= 0:
         raise ValueError("dual fails the grid-level separation check")
     return SteeringFunctional(coeffs=tuple(block.copy() for block in _dual_blocks(phen, y)))
 
@@ -578,10 +579,12 @@ def reproduce_tables(phen: Phenomenon, grid: HiddenStateGrid, weights: np.ndarra
     Returns one array per pairing entry with
     P(A,B|a,b) = Σ_{k: k(a)=A, λ} w[k,λ]·Tr[F_B^b ρ_λ], the rows of A·w.
     """
-    a_mat, _, n_strategies = _lp_system(phen, grid)
-    if weights.shape != (n_strategies, len(grid.matrices)):
+    rows, values, b_vec = _column_map(phen, grid)
+    if weights.shape != (len(rows), len(values)):
         raise ValueError(f"weights shape {weights.shape} does not match strategies x grid")
-    return _dual_blocks(phen, a_mat[:-1] @ weights.ravel())
+    # Strategy k adds Σ_l w[k, l]·values[l] to its rows rows[k].
+    model = np.bincount(rows.ravel(), weights=(weights @ values).ravel(), minlength=len(b_vec))
+    return _dual_blocks(phen, model[:-1])
 
 
 def feasibility_flip(

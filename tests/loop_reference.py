@@ -2,7 +2,9 @@
 
 Compact copies of the oracle's original scalar loops (exact bound, LP system,
 grids built as tuples of per-state DensityMatrix objects), which the array
-code in `steerkit.oracle` must match bit for bit; of the LP solve through
+code in `steerkit.oracle` must match bit for bit; of the removed dense LP
+matrix A and its masked column-wise arrays, which the column map and the
+arrays built from it for HiGHS must match byte for byte; of the LP solve through
 scipy's `linprog`, which the direct HiGHS call in `lhs_feasible` must match
 bit for bit with HiGHS's presolve off, and with it on where every table
 entry is at least 1e-7, and in verdict everywhere; of the blocked strategy
@@ -10,8 +12,8 @@ enumeration of every strategy, which `certify_steering` must match bit
 for bit where its qubit screen evaluates only a few, and of the Bob
 tables from a tuple grid stacked on every call; of the removed second and
 third copies of the LP column map (the per-entry dual columns yᵀA and the
-per-strategy model tables A·w), which `y @ A` and `reproduce_tables` must
-match to 1e-12 in the scale of y and w; of the original Born rule
+per-strategy model tables A·w), which the dual check's y[rows] @ valuesᵀ and
+`reproduce_tables` must match to 1e-12 in the scale of y and w; of the original Born rule
 (one np.kron and trace per effect pair), which `measure_joint` and
 `tensor_product` must match bit for bit; of the original one-table inference
 statistics (a Python loop over Alice's rows for the conditional means), which
@@ -61,7 +63,14 @@ from steerkit.criteria import (
 )
 from steerkit.gaussian import P_A, P_B, X_A, X_B, GaussianState, linear_combination_variance
 from steerkit.measurements import PROB_FLOOR, JointDistribution, collective_variance
-from steerkit.oracle import SLACK_BAND, GridFeasible, GridInfeasible, _lp_system
+from steerkit.oracle import (
+    SLACK_BAND,
+    GridFeasible,
+    GridInfeasible,
+    _bob_probability_table,
+    _strategy_block,
+    _strategy_count,
+)
 
 
 def lp_system(phen, grid, bob):
@@ -91,11 +100,56 @@ def lp_system(phen, grid, bob):
     return a_mat, b_vec, strategies
 
 
+def dense_lp_system(phen, grid):
+    """A, b and the strategy count, with A dense (rows × strategies·states), filled by one np.where per entry.
+
+    Column k·n_states + l is strategy k with grid state l. The column map
+    `oracle._column_map` must give this A to the byte.
+    """
+    counts = [m.n_outcomes for m in phen.strategy.alice]
+    n_strategies = _strategy_count(counts)
+    outcomes = _strategy_block(counts, np.arange(n_strategies))
+    q_tables = _bob_probability_table(grid, phen.strategy.bob)
+    n_rows = sum(t.probs.size for t in phen.tables) + 1
+    a_mat = np.empty((n_rows, n_strategies * len(grid.matrices)))
+    b_vec = np.empty(n_rows)
+    row = 0
+    for (a_idx, b_idx), table in zip(phen.strategy.pairing, phen.tables):
+        n_a, n_b = table.probs.shape
+        # block[A, B, k, l] = Q[b][B, l] where strategy k answers A to setting a, else 0.
+        answers = outcomes[a_idx][:, None] == np.arange(n_a)[:, None, None, None]
+        block = np.where(answers, q_tables[b_idx][None, :, None, :], 0.0)
+        a_mat[row : row + n_a * n_b] = block.reshape(n_a * n_b, -1)
+        b_vec[row : row + n_a * n_b] = table.probs.ravel()
+        row += n_a * n_b
+    a_mat[row, :] = 1.0
+    b_vec[row] = 1.0
+    return a_mat, b_vec, n_strategies
+
+
+def highs_columns(a_mat):
+    """Column starts, row indices and values of [A, I, -I] from the mask of a dense A.
+
+    These are the indptr[:-1], indices and data of scipy's
+    csc_array(np.hstack([A, I, -I])) to the byte: exact zeros (and -0.0) of A
+    are left out, NaN and inf stay.
+    """
+    n_rows = len(a_mat)
+    nonzero = a_mat.T != 0
+    counts = np.count_nonzero(nonzero, axis=1)
+    a_data = a_mat.T[nonzero]
+    slack = np.arange(n_rows)
+    starts = np.concatenate([np.cumsum(counts) - counts, len(a_data) + np.arange(2 * n_rows)])
+    indices = np.concatenate([np.nonzero(nonzero)[1], slack, slack])
+    data = np.concatenate([a_data, np.ones(n_rows), -np.ones(n_rows)])
+    return starts.astype(np.int32), indices.astype(np.int32), data
+
+
 def lhs_feasible_linprog(phen, grid, presolve=False):
     """`oracle.lhs_feasible` solved through `linprog`, with HiGHS's presolve off as it ran, or on."""
     from scipy.optimize import linprog
 
-    a_mat, b_vec, n_strategies = _lp_system(phen, grid)
+    a_mat, b_vec, n_strategies = dense_lp_system(phen, grid)
     n_rows, n_cols = a_mat.shape
     cost = np.concatenate([np.zeros(n_cols), np.ones(2 * n_rows)])
     a_eq = np.hstack([a_mat, np.eye(n_rows), -np.eye(n_rows)])

@@ -1,7 +1,7 @@
 """The array oracle reproduces the loops exactly, not to a tolerance.
 
-Only y @ A and A·w carry one: the removed per-entry loops they are compared
-with sum in another order.
+Only yᵀA and A·w carry one, and so do Bob tables for d ≥ 4: the removed
+per-entry loops and np.trace they are compared with sum in another order.
 """
 
 import functools
@@ -34,7 +34,7 @@ from steerkit.oracle import (
     random_pure_grid,
 )
 from test_measurements import trine_povm
-from util import random_density_matrix
+from util import fresh_interpreter, random_density_matrix
 
 
 def spin_measurements(j, directions):
@@ -444,16 +444,28 @@ def werner_mub_phenomenon(mu, n_mub=3):
     return phenomenon_from_state(werner_state(mu), all_pairs_strategy(meas, meas))
 
 
+def dense_from_map(rows, values, n_rows):
+    """The dense A that a column map describes: column k·n_states + l holds values[l] in rows rows[k]."""
+    a_mat = np.zeros((n_rows, len(rows) * len(values)))
+    for k, strategy_rows in enumerate(rows):
+        a_mat[strategy_rows[:, None], k * len(values) + np.arange(len(values))] = values.T
+    return a_mat
+
+
 def assert_same_system(phen, grid):
-    a_mat, b_vec, n_strategies = oracle._lp_system(phen, grid)
+    rows, values, b_vec = oracle._column_map(phen, grid)
     ref_a, ref_b, ref_strategies = lp_system(phen, grid, phen.strategy.bob)
+    a_mat = dense_from_map(rows, values, len(b_vec))
     assert np.array_equal(a_mat, ref_a)
     assert np.array_equal(b_vec, ref_b)
     assert a_mat.tobytes() == ref_a.tobytes()  # signed zeros too
-    assert n_strategies == len(ref_strategies)
+    assert len(rows) == len(ref_strategies)
+    assert (np.diff(rows, axis=1) > 0).all()
 
 
 class TestLpSystem:
+    """The column map describes the scalar loops' A and b."""
+
     @pytest.mark.parametrize("n_mub", [2, 3])
     @pytest.mark.parametrize("resolution", [50, 800])
     def test_werner_mub(self, n_mub, resolution):
@@ -463,6 +475,17 @@ class TestLpSystem:
 
     def test_qutrit_random_pure_grid(self, rng):
         assert_same_system(qutrit_phenomenon(rng), random_pure_grid(3, 120))
+
+
+def trace_tables(grid, bob):
+    """Q as np.trace took it, before the einsum."""
+    return [np.real(np.trace(np.stack(m.effects)[:, None] @ grid.matrices[None], axis1=-2, axis2=-1)) for m in bob]
+
+
+def assert_same_trace(grid, bob):
+    for table, ref in zip(oracle._bob_probability_table(grid, bob), trace_tables(grid, bob), strict=True):
+        assert table.dtype == ref.dtype
+        assert table.tobytes() == ref.tobytes()
 
 
 class TestGrids:
@@ -483,6 +506,26 @@ class TestGrids:
             assert table.tobytes() == ref.tobytes()
             assert not table.flags.writeable
 
+    @pytest.mark.parametrize("resolution", [1, 50, 800])
+    @pytest.mark.parametrize("bob", ["mub3", "directions16"])
+    def test_bob_tables_trace_bytes_qubit(self, rng, bob, resolution):
+        # The einsum trace gives np.trace's bytes for d = 2 and 3.
+        meas = mub_qubit_measurements(3) if bob == "mub3" else spin_measurements(0.5, unit_directions(rng, 16))
+        assert_same_trace(qubit_grid(resolution), meas)
+
+    def test_bob_tables_trace_bytes_qutrit(self):
+        spin = spin_operators(1.0)
+        meas = tuple(observable_to_measurement(op, label) for label, op in (("Jx", spin.jx), ("Jz", spin.jz)))
+        assert_same_trace(random_pure_grid(3, 200), meas)
+
+    @pytest.mark.parametrize("dim", [4, 9])
+    def test_bob_tables_trace_bound_qudit(self, rng, dim):
+        # For d ≥ 4 the two sums may round apart, by at most a few ulps of the largest entry.
+        grid = random_pure_grid(dim, 200)
+        meas = tuple(observable_to_measurement(random_density_matrix(rng, dim).matrix, f"R{i}") for i in range(3))
+        for table, ref in zip(oracle._bob_probability_table(grid, meas), trace_tables(grid, meas), strict=True):
+            assert np.max(np.abs(table - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("seed", [oracle.GRID_SEED, 7])
     @pytest.mark.parametrize("resolution", [1, 30, 800])
     @pytest.mark.parametrize("dim", [3, 4, 9])
@@ -492,11 +535,19 @@ class TestGrids:
         assert grid.matrices.tobytes() == loop_reference.stacked(reference).tobytes()
 
 
+def map_dual_columns(phen, grid, y):
+    """yᵀA as the dual check takes it from the column map, as an array [strategy, grid state]."""
+    rows, values, _ = oracle._column_map(phen, grid)
+    return y[rows] @ values.T
+
+
 def assert_dual_columns_match(phen, grid, y):
-    a_mat = oracle._lp_system(phen, grid)[0]
-    columns = loop_reference.dual_columns(phen, grid, y)
-    assert columns.shape == (a_mat.shape[1] // len(grid.matrices), len(grid.matrices))
-    assert np.max(np.abs(columns.ravel() - y @ a_mat)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+    columns = map_dual_columns(phen, grid, y)
+    reference = loop_reference.dual_columns(phen, grid, y)
+    dense = y @ loop_reference.dense_lp_system(phen, grid)[0]
+    assert columns.shape == reference.shape
+    assert np.max(np.abs(columns - reference)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+    assert np.max(np.abs(columns.ravel() - dense)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
 
 def assert_model_tables_match(phen, grid, weights):
@@ -508,7 +559,7 @@ def assert_model_tables_match(phen, grid, weights):
 
 
 class TestOneColumnMap:
-    """`_lp_system`'s A is the one column map: the dual check reads y @ A and the model check A·w."""
+    """`_column_map` is the one column map: the dual check reads y[rows] @ valuesᵀ, the model check w @ values."""
 
     @pytest.mark.parametrize("n_mub", [2, 3])
     @pytest.mark.parametrize("resolution", [50, 800])
@@ -542,11 +593,11 @@ class TestOneColumnMap:
         phen = werner_mub_phenomenon(0.9)
         grid = qubit_grid(50)
         outcome = lhs_feasible(phen, grid)
-        a_mat, b_vec, _ = oracle._lp_system(phen, grid)
+        b_vec = oracle._column_map(phen, grid)[2]
         for y_b in (0.0, -1.0):
             shifted = outcome.dual.copy()
             shifted[-1] -= outcome.dual @ b_vec - y_b
-            assert np.max(shifted @ a_mat) <= 1e-7 and shifted @ b_vec <= 0
+            assert np.max(map_dual_columns(phen, grid, shifted)) <= 1e-7 and shifted @ b_vec <= 0
             with pytest.raises(ValueError, match="dual fails"):
                 oracle.functional_from_dual(phen, grid, oracle.GridInfeasible(shifted, outcome.violation))
 
@@ -708,29 +759,55 @@ class TestDirectHighs:
         assert_same_solve(qutrit_phenomenon(rng), hidden_state_grid(3, 200), loop_reference.lhs_feasible_linprog)
 
 
-def assert_same_columns(a_mat):
-    """`_highs_columns` gives scipy's CSC arrays of [A, I, -I], byte for byte."""
+def column_arrays(rows, values, b_vec):
+    """The column starts, row indices and values that `lhs_feasible` hands to passModel."""
+    return oracle._highs_model(oracle._highs_binding(), rows, values, b_vec)[11:14]
+
+
+def assert_same_columns(rows, values, b_vec, a_mat):
+    """The arrays built from the map are scipy's CSC arrays of [A, I, -I] for the dense A, byte for byte."""
     from scipy.sparse import csc_array
 
     n_rows = len(a_mat)
     ref = csc_array(np.hstack([a_mat, np.eye(n_rows), -np.eye(n_rows)]))
-    got = oracle._highs_columns(a_mat)
-    for array, expected in zip(got, (ref.indptr[:-1], ref.indices, ref.data)):
-        assert array.dtype == expected.dtype
-        assert array.tobytes() == expected.tobytes()
+    expected_arrays = (ref.indptr[:-1], ref.indices, ref.data)
+    removed_arrays = loop_reference.highs_columns(a_mat)
+    for array, expected, removed in zip(column_arrays(rows, values, b_vec), expected_arrays, removed_arrays):
+        assert array.dtype == expected.dtype == removed.dtype
+        assert array.tobytes() == expected.tobytes() == removed.tobytes()
+
+
+def assert_same_grid_columns(phen, grid):
+    rows, values, b_vec = oracle._column_map(phen, grid)
+    a_mat, ref_b, _ = loop_reference.dense_lp_system(phen, grid)
+    assert dense_from_map(rows, values, len(b_vec)).tobytes() == a_mat.tobytes()
+    assert b_vec.tobytes() == ref_b.tobytes()
+    assert_same_columns(rows, values, b_vec, a_mat)
+
+
+# Offsets from the threshold 1/√n_mub, then fixed μ; None is the singlet.
+COLUMN_MUS = [
+    *(pytest.param(("T", offset), id=f"T{offset:+g}") for offset in (-0.02, -0.005, 0.0, 0.005, 0.02)),
+    0.4, 0.6, 0.9, 1 - 1e-8, 1.0, pytest.param(None, id="singlet"),
+]
 
 
 class TestHighsColumns:
     """The column-wise arrays handed to HiGHS are those of `csc_array`, so the model is the same bytes."""
 
-    @pytest.mark.parametrize("mu", [0.6, pytest.param(None, id="singlet")])
-    @pytest.mark.parametrize("resolution", [1, 50, 800])
+    @pytest.mark.parametrize("mu", COLUMN_MUS)
+    @pytest.mark.parametrize("resolution", [1, 50, 200, 800])
     @pytest.mark.parametrize("n_mub", [2, 3])
     def test_werner_mub(self, n_mub, resolution, mu):
-        assert_same_columns(oracle._lp_system(mub_phenomenon(n_mub, mu), qubit_grid(resolution))[0])
+        if isinstance(mu, tuple):
+            mu = 1 / math.sqrt(n_mub) + mu[1]
+        assert_same_grid_columns(mub_phenomenon(n_mub, mu), qubit_grid(resolution))
+
+    def test_cube_diagonals(self):
+        assert_same_grid_columns(cube_phenomenon(0.6), qubit_grid(50))
 
     def test_qutrit_random_pure_grid(self, rng):
-        assert_same_columns(oracle._lp_system(qutrit_phenomenon(rng), random_pure_grid(3, 50))[0])
+        assert_same_grid_columns(qutrit_phenomenon(rng), random_pure_grid(3, 50))
 
     def test_zero_bob_probabilities(self):
         # Jz finds |0><0| and |1><1| each in one outcome only, so Q holds exact zeros.
@@ -740,16 +817,18 @@ class TestHighsColumns:
         strategy = MeasurementStrategy(alice=alice, bob=bob, pairing=((0, 0), (1, 0)))
         states = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2) / 2])
         grid = oracle.HiddenStateGrid(matrices=states, resolution=2)
-        a_mat = oracle._lp_system(phenomenon_from_state(werner_state(0.6), strategy), grid)[0]
-        # The strategy mask alone zeros half of the table rows; Q's zeros add more.
-        assert np.count_nonzero(a_mat[:-1] == 0) > a_mat[:-1].size / 2
-        assert_same_columns(a_mat)
+        phen = phenomenon_from_state(werner_state(0.6), strategy)
+        assert np.count_nonzero(oracle._column_map(phen, grid)[1] == 0) == 4
+        assert_same_grid_columns(phen, grid)
 
     def test_signed_zeros_and_non_finite_entries(self, rng):
         # -0.0 is dropped like 0.0; NaN and inf stay, for the finiteness check to find.
-        a_mat = rng.choice([0.0, -0.0, 0.25, -1.5, math.nan, math.inf], size=(7, 30))
-        assert np.signbit(a_mat[a_mat == 0]).any()
-        assert_same_columns(a_mat)
+        n_rows = 9
+        rows = np.sort(np.stack([rng.choice(n_rows - 1, 4, replace=False) for _ in range(5)]), axis=1)
+        rows = np.hstack([rows, np.full((5, 1), n_rows - 1)])
+        values = rng.choice([0.0, -0.0, 0.25, -1.5, math.nan, math.inf], size=(6, 5))
+        assert np.signbit(values[values == 0]).any()
+        assert_same_columns(rows, values, np.ones(n_rows), dense_from_map(rows, values, n_rows))
 
 
 class TestSolveFailure:
@@ -812,17 +891,42 @@ class TestSolveFailure:
         with pytest.raises(RuntimeError, match="LP solver failed"):
             self.solve_with(monkeypatch, getInfo=lambda highs: SimpleNamespace(objective_function_value=math.nan))
 
+    @pytest.mark.parametrize("bad_row", ["n_rows", "-1"])
+    def test_row_index_out_of_range(self, bad_row):
+        # The binding reads indices unchecked, and one out of range crashes
+        # the interpreter: a fresh one, so that a regression fails this test
+        # rather than ending the test run.
+        out = fresh_interpreter(f"""
+from steerkit import oracle
+from steerkit.families import werner_state
+from steerkit.measurements import all_pairs_strategy
+real = oracle._column_map
+def corrupted(phen, grid):
+    rows, values, b_vec = real(phen, grid)
+    n_rows = len(b_vec)
+    rows[3, 1] = {bad_row}
+    return rows, values, b_vec
+oracle._column_map = corrupted
+mub3 = oracle.mub_qubit_measurements(3)
+phen = oracle.phenomenon_from_state(werner_state(0.9), all_pairs_strategy(mub3, mub3))
+try:
+    oracle.lhs_feasible(phen, oracle.qubit_grid(50))
+except ValueError as error:
+    print(error)
+""")
+        assert out == "LP columns need matching lengths, non-decreasing starts and row indices in [0, 37)\n"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("part", [0, 1])
     def test_non_finite_system(self, monkeypatch, part, bad):
         # HiGHS itself reports such a model optimal.
-        real = oracle._lp_system
+        real = oracle._column_map
 
         def corrupted(phen, grid):
-            system = real(phen, grid)
-            system[part][..., 0] = bad
-            return system
+            rows, values, b_vec = real(phen, grid)
+            (values, b_vec)[part][..., 0] = bad
+            return rows, values, b_vec
 
-        monkeypatch.setattr(oracle, "_lp_system", corrupted)
+        monkeypatch.setattr(oracle, "_column_map", corrupted)
         with pytest.raises(ValueError, match="must be finite"):
             lhs_feasible(werner_mub_phenomenon(0.9), qubit_grid(50))
