@@ -15,9 +15,9 @@ import math
 import sys
 import time
 
-from steerkit.families import werner_state
+from steerkit.families import feasibility_flip, werner_state
 from steerkit.measurements import all_pairs_strategy
-from steerkit.oracle import feasibility_flip, mub_qubit_measurements, phenomenon_from_state, qubit_grid
+from steerkit.oracle import mub_qubit_measurements, phenomenon_from_state, qubit_grid
 
 
 def main() -> None:

@@ -4,7 +4,7 @@ Submodules: `core` (Hermitian linear algebra, spin operators), `measurements`
 (Born-rule statistics and inference variances), `gaussian` (covariance-matrix
 sector), `criteria` (the criterion catalog), `oracle` (hidden-state LP
 feasibility and exact certificates), `families` (Werner / symmetric-Gaussian
-sweeps and boundary bisection), `cli` (the `steerkit` command).
+sweeps and threshold bisection), `cli` (the `steerkit` command).
 """
 
 from .core import (

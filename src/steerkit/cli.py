@@ -214,6 +214,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_boundary(args: argparse.Namespace) -> int:
     params = _criterion_params(args, swept=args.param)
     bracket = _parse_bracket(args.bracket) if args.bracket is not None else None
+    if bracket is None and not all(map(math.isfinite, FAMILIES[args.family].parameter_ranges[args.param])):
+        raise UsageError(f"parameter {args.param!r} has an unbounded range, so --bracket is required")
     if args.tol <= 0:
         raise UsageError(f"--tol must be positive, got {args.tol}")
     if not math.isfinite(args.tol):
@@ -281,8 +283,6 @@ def read_measurement_file(path: str) -> tuple[Measurement, ...]:
         nonlocal label
         close_effect()
         if label is not None:
-            if len(values) != len(effects):
-                raise ValueError(f"measurement {label!r} has {len(values)} outcomes, {len(effects)} effects")
             measurements.append(
                 Measurement(label=label, values=tuple(values), effects=tuple(effects), kind="povm")
             )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -29,9 +29,8 @@ from .measurements import (
     InferenceStatistics,
     Measurement,
     PROB_FLOOR,
-    _check_pair_dimensions,
-    _conditional_means,
     born_probabilities,
+    check_pair_dimensions,
     check_probability_tables,
     collective_variance,
     effect_products,
@@ -66,7 +65,7 @@ class CriterionResult:
     direction: str
     margin: float
     violated: bool
-    details: dict[str, float | str] = field(default_factory=dict)
+    details: dict[str, float | str]
 
 
 def _result(
@@ -206,7 +205,7 @@ def _plan_statistics(state: BipartiteState, plan: InferencePlan) -> list[Inferen
     results carry the bits measure_joint and inference_statistics give it.
     """
     for pair in plan.pairs:
-        _check_pair_dimensions(state, pair.alice, pair.bob)
+        check_pair_dimensions(state, pair.alice, pair.bob)
     stats = [None] * len(plan.pairs)
     for stack in plan.effect_products:
         probs = born_probabilities(state, stack.products)
@@ -497,7 +496,7 @@ def check_convexity(term: ConvexTerm) -> None:
 
 
 def eval_additive_convex(
-    state: BipartiteState, terms: Sequence[ConvexTerm], quantum_bound: float = 0.0
+    state: BipartiteState, terms: Sequence[ConvexTerm], quantum_bound: float
 ) -> CriterionResult:
     """General additive convex criterion Σ_j E_A[f_j(<B_j>_A, A)] ≤ bound.
 
@@ -514,11 +513,11 @@ def eval_additive_convex(
     details: dict[str, float | str] = {}
     for i, term in enumerate(terms):
         joint = measure_joint(state, term.alice, term.bob)
-        weights, means = _conditional_means(joint)
+        stats = inference_statistics(joint.probs, joint.b_values)
         contribution = 0.0
-        for a_idx, w in enumerate(weights):
+        for a_idx, w in enumerate(stats.weights):
             if w > PROB_FLOOR:
-                contribution += w * term.f(float(means[a_idx]), joint.a_values[a_idx])
+                contribution += w * term.f(float(stats.means[a_idx]), joint.a_values[a_idx])
         details[f"term_{i + 1}"] = contribution
         lhs += contribution
     return _result("custom-convex", lhs, quantum_bound, VIOLATED_IF_ABOVE, details)

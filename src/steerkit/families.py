@@ -1,10 +1,10 @@
-"""Parametrized state families, criterion sweeps, and bisection boundary-finding."""
+"""Parametrized state families, criterion sweeps, and bisection of verdict and feasibility flips."""
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -12,6 +12,7 @@ import numpy as np
 from .core import BipartiteState, bipartite_from_matrix
 from .criteria import evaluate
 from .gaussian import GaussianState, SymmetricTwoModeParams, symmetric_two_mode
+from .oracle import HiddenStateGrid, Phenomenon, lhs_feasible
 
 
 @functools.lru_cache(maxsize=1)
@@ -117,15 +118,31 @@ class BoundaryResult:
 
     criterion_id: str
     family_id: str
-    fixed: dict[str, float] = field(default_factory=dict)
-    param: str = "mu"
-    threshold: float = 0.0
-    bracket: tuple[float, float] = (0.0, 1.0)
-    tolerance: float = 0.0
-    evaluations: int = 0
+    fixed: dict[str, float]
+    param: str
+    threshold: float
+    bracket: tuple[float, float]
+    tolerance: float
+    evaluations: int
 
 
 MONOTONICITY_PROBES = 9
+
+
+def _bisect(is_low: Callable[[float], bool], lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] towards the flip of `is_low`, true at lo and false at hi.
+
+    Stops at width `tol`, or at two adjacent floats if `tol` is below their spacing.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
+            break
+        if is_low(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def boundary_bisect(
@@ -178,15 +195,7 @@ def boundary_bisect(
             f"criterion {criterion_id!r} is not monotone across the bracket ({flips} verdict flips)"
         )
     flip_at = next(i for i in range(len(sequence) - 1) if sequence[i] != sequence[i + 1])
-    lo, hi = positions[flip_at], positions[flip_at + 1]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
-            break
-        if verdict(mid) == v_lo:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda x: verdict(x) == v_lo, positions[flip_at], positions[flip_at + 1], tol)
     return BoundaryResult(
         criterion_id=criterion_id,
         family_id=family_id,
@@ -197,3 +206,21 @@ def boundary_bisect(
         tolerance=hi - lo,
         evaluations=evaluations,
     )
+
+
+def feasibility_flip(
+    phenomenon_at: Callable[[float], Phenomenon], grid: HiddenStateGrid, tol: float = 1e-3
+) -> float:
+    """Bisect the parameter in [0, 1] where grid feasibility flips to infeasibility.
+
+    The phenomenon must be feasible at 0 and infeasible at 1; the flip is the midpoint of `_bisect`'s bracket.
+    """
+    def is_feasible(x: float) -> bool:
+        return lhs_feasible(phenomenon_at(x), grid).feasible
+
+    if not is_feasible(0.0):
+        raise ValueError("expected feasibility at the lower bracket 0")
+    if is_feasible(1.0):
+        raise ValueError("expected infeasibility at the upper bracket 1")
+    lo, hi = _bisect(is_feasible, 0.0, 1.0, tol)
+    return 0.5 * (lo + hi)

@@ -34,22 +34,16 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Covariance matrix + mean vector of a Gaussian state."""
+    """Covariance matrix of a Gaussian state; every criterion reads only second moments."""
 
     cov: np.ndarray
-    mean: np.ndarray
 
     def __post_init__(self) -> None:
         cov = np.asarray(self.cov, dtype=float)
-        mean = np.asarray(self.mean, dtype=float)
         if not np.isfinite(cov).all():
             raise ValueError("covariance matrix must be finite")
-        if not np.isfinite(mean).all():
-            raise ValueError("mean vector must be finite")
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0:
             raise ValueError(f"covariance matrix must be square of even dimension, got {cov.shape}")
-        if mean.shape != (cov.shape[0],):
-            raise ValueError("mean vector length does not match covariance dimension")
         if np.max(np.abs(cov - cov.T)) > ATOL_STRUCTURAL:
             raise ValueError("covariance matrix is not symmetric within 1e-10")
         omega = symplectic_form(cov.shape[0] // 2)
@@ -59,9 +53,7 @@ class GaussianState:
         if eigenvalues.min() < -tol:
             raise ValueError("covariance matrix violates the uncertainty principle (cov + iΩ ⋡ 0)")
         cov.setflags(write=False)
-        mean.setflags(write=False)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "mean", mean)
 
     @property
     def n_modes(self) -> int:
@@ -106,7 +98,7 @@ def symmetric_two_mode(params: SymmetricTwoModeParams) -> GaussianState:
             [0.0, -d, 0.0, g],
         ]
     )
-    return GaussianState(cov=cov, mean=np.zeros(4))
+    return GaussianState(cov=cov)
 
 
 def linear_combination_variance(state: GaussianState, coeffs: np.ndarray | list[float]) -> float:

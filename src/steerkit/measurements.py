@@ -88,7 +88,7 @@ def operator_of(measurement: Measurement) -> np.ndarray:
     return sum(v * e for v, e in zip(measurement.values, measurement.effects))
 
 
-def observable_to_measurement(obs: np.ndarray, label: str | None = None) -> Measurement:
+def observable_to_measurement(obs: np.ndarray, label: str) -> Measurement:
     """Spectral decomposition of a Hermitian observable into a projective measurement.
 
     Eigenvalues within EIGENVALUE_MERGE_TOL of one another are merged into a
@@ -106,7 +106,7 @@ def observable_to_measurement(obs: np.ndarray, label: str | None = None) -> Meas
             projectors.append(block @ dagger(block))
             start = k
     return Measurement(
-        label=label if label is not None else "observable",
+        label=label,
         values=tuple(values),
         effects=tuple(projectors),
         kind="projective",
@@ -192,7 +192,7 @@ class JointDistribution:
         return float(self.marginal_b() @ np.asarray(self.b_values))
 
 
-def _check_pair_dimensions(state: BipartiteState, a: Measurement, b: Measurement) -> None:
+def check_pair_dimensions(state: BipartiteState, a: Measurement, b: Measurement) -> None:
     """Raise ValueError unless Alice's and Bob's measurements act on the state's subsystems."""
     if a.dim != state.dim_a:
         raise ValueError(f"Alice measurement dimension {a.dim} != subsystem dimension {state.dim_a}")
@@ -223,7 +223,7 @@ def born_probabilities(state: BipartiteState, products: np.ndarray) -> np.ndarra
 
 def measure_joint(state: BipartiteState, a: Measurement, b: Measurement) -> JointDistribution:
     """Born rule for one pair: P(A, B) = Tr[W (E_A ⊗ F_B)]."""
-    _check_pair_dimensions(state, a, b)
+    check_pair_dimensions(state, a, b)
     probs = born_probabilities(state, effect_products(a, b))
     return JointDistribution(a_values=a.values, b_values=b.values, probs=probs)
 
@@ -259,12 +259,6 @@ def inference_statistics(probs: np.ndarray, b_values: np.ndarray) -> InferenceSt
     variance = (probs * err_sq).reshape(*probs.shape[:-2], -1).sum(axis=-1)
     abs_mean = np.where(kept, weights * np.abs(means), 0.0).sum(axis=-1)
     return InferenceStatistics(weights, means, variance, abs_mean)
-
-
-def _conditional_means(joint: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Per-Alice-outcome weights and conditional means of B; zero-weight rows get mean 0."""
-    stats = inference_statistics(joint.probs, joint.b_values)
-    return stats.weights, stats.means
 
 
 def inference_variance(joint: JointDistribution) -> float:

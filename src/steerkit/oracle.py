@@ -24,7 +24,7 @@ import os
 import sys
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,7 +138,6 @@ class HiddenStateGrid:
     """
 
     matrices: np.ndarray
-    resolution: int
 
     def __post_init__(self) -> None:
         m = np.array(self.matrices, dtype=complex)
@@ -171,21 +170,21 @@ def qubit_grid(resolution: int) -> HiddenStateGrid:
     # sum() starts from 0 and adds x, y, z in turn, as the per-state sum did.
     bloch = sum(c[:, None, None] * s for c, s in zip(direction, paulis))
     rhos = np.concatenate([0.5 * (eye + bloch), (eye / 2)[None]])
-    return HiddenStateGrid(matrices=rhos, resolution=resolution)
+    return HiddenStateGrid(matrices=rhos)
 
 
-def random_pure_grid(dim: int, resolution: int, seed: int = GRID_SEED) -> HiddenStateGrid:
-    """Fixed-seed unitary-invariant pure states for dimension > 2, plus I/d."""
+def random_pure_grid(dim: int, resolution: int) -> HiddenStateGrid:
+    """GRID_SEED-seeded unitary-invariant pure states for dimension > 2, plus I/d."""
     if resolution < 1:
         raise ValueError(f"grid resolution must be >= 1, got {resolution}")
     # Per state, dim real parts then dim imaginary parts, in one draw.
-    draws = np.random.default_rng(seed).standard_normal((resolution, 2, dim))
+    draws = np.random.default_rng(GRID_SEED).standard_normal((resolution, 2, dim))
     psi = draws[:, 0] + 1j * draws[:, 1]
     # The same dot products np.linalg.norm takes on the strided real and imaginary views.
     psi /= np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))[:, None]
     pure = psi[:, :, None] * psi.conj()[:, None, :]
     rhos = np.concatenate([pure, (np.eye(dim, dtype=complex) / dim)[None]])
-    return HiddenStateGrid(matrices=rhos, resolution=resolution)
+    return HiddenStateGrid(matrices=rhos)
 
 
 def hidden_state_grid(dim: int, resolution: int) -> HiddenStateGrid:
@@ -587,36 +586,6 @@ def reproduce_tables(phen: Phenomenon, grid: HiddenStateGrid, weights: np.ndarra
     return _dual_blocks(phen, model[:-1])
 
 
-def feasibility_flip(
-    phenomenon_at: Callable[[float], Phenomenon],
-    grid: HiddenStateGrid,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    tol: float = 1e-3,
-) -> float:
-    """Bisect the parameter where grid feasibility flips to infeasibility.
-
-    The bracket shrinks to `tol`, or to two adjacent floats if `tol` is
-    below their spacing.
-    """
-    def is_feasible(x: float) -> bool:
-        return lhs_feasible(phenomenon_at(x), grid).feasible
-
-    if not is_feasible(lo):
-        raise ValueError(f"expected feasibility at the lower bracket {lo}")
-    if is_feasible(hi):
-        raise ValueError(f"expected infeasibility at the upper bracket {hi}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
-            break
-        if is_feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 @functools.lru_cache(maxsize=2)
 def mub_qubit_measurements(n: int) -> tuple[Measurement, ...]:
     """The first n of the mutually unbiased qubit spin measurements (Jx, Jy, Jz); built once per n."""
@@ -631,7 +600,7 @@ def certificate_record(
     phen: Phenomenon,
     functional: SteeringFunctional,
     certificate: SteeringCertificate,
-    tag: str | None = None,
+    tag: str | None,
 ) -> dict:
     """Flat serializable record of a certificate, for independent re-verification."""
     entries = []

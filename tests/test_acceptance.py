@@ -21,7 +21,7 @@ from steerkit.criteria import (
     eval_product_criterion,
     evaluate,
 )
-from steerkit.families import boundary_bisect, werner_state
+from steerkit.families import boundary_bisect, feasibility_flip, werner_state
 from steerkit.gaussian import (
     boundary_collective_steering_mu,
     boundary_entanglement_mu,
@@ -38,7 +38,6 @@ from steerkit.oracle import (
     GridFeasible,
     GridInfeasible,
     certify_steering,
-    feasibility_flip,
     functional_from_dual,
     lhs_feasible,
     linear_correlation_functional,

@@ -473,6 +473,27 @@ class TestMeasurementFile:
         assert code == 1
         assert "line 2:" in err and "'half'" in err
 
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            ("measurement Jz\noutcome 0.5\n1 0 0 0\n0 0 0 0\noutcome -0.5\n", "-0.5"),
+            ("measurement Jz\noutcome 0.5\noutcome -0.5\n0 0 0 0\n0 0 1 0\n", "0.5"),
+            ("measurement Jz\noutcome 0.5\nmeasurement Jx\noutcome 0.5\n1 0 0 0\n0 0 0 0\n", "0.5"),
+        ],
+        ids=["end-of-file", "before-outcome", "before-measurement"],
+    )
+    def test_outcome_without_matrix_exits_1(self, capsys, tmp_path, text, outcome):
+        # Each outcome's matrix is closed at the next outcome, measurement or the
+        # end of the file, so a block always holds one effect per outcome.
+        code, out, err = self._oracle_on_file(capsys, tmp_path, text)
+        assert (code, out) == (1, "")
+        assert err == f"steerkit: failed: outcome {outcome} of 'Jz' has no effect matrix\n"
+
+    def test_measurement_without_outcomes_exits_1(self, capsys, tmp_path):
+        code, out, err = self._oracle_on_file(capsys, tmp_path, "measurement Jz\nmeasurement Jx\noutcome 1\n1 0\n")
+        assert (code, out) == (1, "")
+        assert err == "steerkit: failed: values and effects must be non-empty and of equal length\n"
+
     def test_qutrit_file_on_qubit_family_exits_2(self, capsys, tmp_path):
         qutrit = tmp_path / "qutrit.txt"
         write_measurement_file(str(qutrit), (observable_to_measurement(np.diag([1.0, 0.0, -1.0]), "Jz"),))
@@ -612,15 +633,20 @@ class TestOneParser:
 
 def test_cli_reads_no_private_names_of_other_modules():
     # Private names of criteria, oracle and the rest are theirs to change;
-    # the CLI reads their public names only (such as CriterionInfo.gain_mode).
-    tree = ast.parse((ROOT / "src" / "steerkit" / "cli.py").read_text())
-    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
-    # `from . import oracle as oracle_mod` binds a module; `from .criteria import CATALOG` a name.
-    modules = {alias.asname or alias.name for node in imports if node.module is None for alias in node.names}
-    private = [f"import {alias.name}" for node in imports for alias in node.names if alias.name.startswith("_")]
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
-            if node.attr.startswith("_") and not node.attr.endswith("__"):
-                private.append(f"{node.value.id}.{node.attr}")
-    assert "oracle_mod" in modules
+    # no module of the package, the CLI included, reads another's private
+    # names, only public ones (such as CriterionInfo.gain_mode).
+    private, bound_modules = [], set()
+    for path in sorted((ROOT / "src" / "steerkit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+        # `from . import oracle as oracle_mod` binds a module; `from .criteria import CATALOG` a name.
+        modules = {alias.asname or alias.name for node in imports if node.module is None for alias in node.names}
+        bound_modules |= modules
+        private += [f"{path.name}: import {alias.name}" for node in imports for alias in node.names
+                    if alias.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                if node.attr.startswith("_") and not node.attr.endswith("__"):
+                    private.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert "oracle_mod" in bound_modules
     assert private == []

@@ -181,7 +181,7 @@ class TestReidCV:
         assert not result.violated
 
     def test_vacuum_saturates(self):
-        vacuum = GaussianState(cov=np.eye(4), mean=np.zeros(4))
+        vacuum = GaussianState(cov=np.eye(4))
         result = eval_reid_cv(vacuum)
         assert result.lhs_value == pytest.approx(1.0, abs=1e-12)
         assert not result.violated
@@ -204,7 +204,7 @@ class TestReidCV:
             h = rng.normal(size=(4, 4))
             symplectic = expm(omega @ (h + h.T) / 2)
             m = rng.normal(size=(4, 4))
-            state = GaussianState(cov=symplectic @ (np.eye(4) + m @ m.T) @ symplectic.T, mean=rng.normal(size=4))
+            state = GaussianState(cov=symplectic @ (np.eye(4) + m @ m.T) @ symplectic.T)
             for gain_mode in ("fixed", "optimize"):
                 result = evaluate("collective-cv-product", state, gain_mode=gain_mode)
                 gains = (result.details["gain_1"], result.details["gain_2"])
@@ -218,7 +218,7 @@ class TestReidCV:
 
     def test_wrong_mode_count(self):
         with pytest.raises(ValueError):
-            eval_reid_cv(GaussianState(cov=np.eye(2), mean=np.zeros(2)))
+            eval_reid_cv(GaussianState(cov=np.eye(2)))
 
 
 class TestDuanSimon:
@@ -228,7 +228,7 @@ class TestDuanSimon:
         assert result.violated
 
     def test_vacuum_saturates(self):
-        vacuum = GaussianState(cov=np.eye(4), mean=np.zeros(4))
+        vacuum = GaussianState(cov=np.eye(4))
         result = evaluate("duan-simon", vacuum)
         assert result.lhs_value == pytest.approx(4.0, abs=1e-12)
         assert not result.violated
@@ -299,7 +299,7 @@ class TestCollective:
     @pytest.mark.parametrize("criterion_id", ["collective-cv-sum", "collective-cv-product"])
     @pytest.mark.parametrize("n_modes", [1, 3])
     def test_cv_needs_two_modes(self, criterion_id, n_modes):
-        state = GaussianState(cov=np.eye(2 * n_modes), mean=np.zeros(2 * n_modes))
+        state = GaussianState(cov=np.eye(2 * n_modes))
         with pytest.raises(ValueError, match=f"^{criterion_id} needs a two-mode state, got {n_modes} modes$"):
             evaluate(criterion_id, state)
 
@@ -376,7 +376,7 @@ class TestAdditiveConvex:
 
     def test_reproduces_sum_two_margin(self):
         state = werner_state(0.8)
-        convex = eval_additive_convex(state, self._sum_two_terms(state))
+        convex = eval_additive_convex(state, self._sum_two_terms(state), 0.0)
         reference = evaluate("sum-two", state)
         assert convex.margin == pytest.approx(reference.margin, abs=1e-10)
         assert convex.violated == reference.violated
@@ -395,14 +395,14 @@ class TestAdditiveConvex:
                 ConvexTerm(jx_a, jx_b, lambda m, a, s=sign: s * a * m - math.sqrt(2) / 8, (-0.5, 0.5)),
                 ConvexTerm(jy_a, jy_b, lambda m, a, s=sign: s * a * m - math.sqrt(2) / 8, (-0.5, 0.5)),
             ]
-            margins.append(eval_additive_convex(state, terms).margin)
+            margins.append(eval_additive_convex(state, terms, 0.0).margin)
         reference = evaluate("linear-2", state)
         assert max(margins) == pytest.approx(reference.margin, abs=1e-10)
 
     def test_zero_terms_not_violated(self):
         jz = observable_to_measurement(SPIN.jz, "Jz")
         terms = [ConvexTerm(jz, jz, lambda m, a: 0.0, (-0.5, 0.5))]
-        result = eval_additive_convex(werner_state(1.0), terms)
+        result = eval_additive_convex(werner_state(1.0), terms, 0.0)
         assert result.lhs_value == 0.0
         assert not result.violated
 

@@ -208,6 +208,8 @@ USAGE_ERRORS: list[tuple[str, list[str]]] = [
     ("usage-param-before-tol.stderr",
      ["boundary", "--criterion", "linear-3", "--family", "werner", "--param", "nbar", "--tol", "-1"]),
     ("usage-bracket-before-tol.stderr", [*_BOUNDARY_MU, "--tol", "-1", "--bracket", "x"]),
+    ("usage-bracket-unbounded.stderr",
+     ["boundary", "--criterion", "reid-cv", "--family", "symmetric-gaussian", "--mu", "0.9", "--param", "nbar"]),
     ("usage-family-before-grid.stderr", [*_ORACLE, "--grid", "0"]),
     ("usage-grid-before-kind.stderr",
      ["oracle", "--family", "symmetric-gaussian", "--nbar", "1", "--mu", "0.5",

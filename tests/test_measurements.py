@@ -11,9 +11,9 @@ from steerkit.measurements import (
     Measurement,
     MeasurementStrategy,
     PROB_FLOOR,
-    _conditional_means,
     check_probability_tables,
     collective_variance,
+    inference_statistics,
     inference_variance,
     inferred_abs_mean,
     measure_joint,
@@ -190,26 +190,26 @@ class TestConditionalDistribution:
 
     def test_singlet_conditioning(self):
         joint = measure_joint(singlet_state(), JZ_MEAS, JZ_MEAS)
-        weights, means = _conditional_means(joint)
+        weights, means, _, _ = inference_statistics(joint.probs, joint.b_values)
         assert weights[0] == pytest.approx(0.5)
         # Alice's +1/2 leaves Bob at -1/2 with certainty.
         assert means[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_uniform_independence(self):
         joint = JointDistribution((0.5, -0.5), (0.5, -0.5), np.full((2, 2), 0.25))
-        weights, means = _conditional_means(joint)
+        weights, means, _, _ = inference_statistics(joint.probs, joint.b_values)
         assert np.allclose(means, [0.0, 0.0])
         assert weights[1] == pytest.approx(0.5)
 
     def test_werner_08(self):
         joint = measure_joint(werner_state(0.8), JZ_MEAS, JZ_MEAS)
-        _, means = _conditional_means(joint)
+        _, means, _, _ = inference_statistics(joint.probs, joint.b_values)
         # P(B = -1/2 | A = +1/2) = 0.9, so the mean is 0.1·(1/2) - 0.9·(1/2).
         assert means[0] == pytest.approx(-0.4, abs=1e-12)
 
     def test_zero_probability_outcome_gets_mean_zero(self):
         joint = JointDistribution((0.5, -0.5), (1.0, -0.5), np.array([[0.5, 0.5], [0.0, 0.0]]))
-        weights, means = _conditional_means(joint)
+        weights, means, _, _ = inference_statistics(joint.probs, joint.b_values)
         assert weights[1] == 0.0 and means[1] == 0.0
         # The empty row adds nothing to the inference variance.
         assert inference_variance(joint) == pytest.approx(0.5625, abs=1e-15)

@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from steerkit import oracle
+from steerkit import families, oracle
 from steerkit.core import bipartite_from_matrix, spin_operators, tensor_product
-from steerkit.families import werner_state
+from steerkit.families import feasibility_flip, singlet_state, werner_state
 from steerkit.measurements import (
     JointDistribution,
     MeasurementStrategy,
@@ -19,7 +19,6 @@ from steerkit.oracle import (
     HiddenStateGrid,
     SteeringFunctional,
     certify_steering,
-    feasibility_flip,
     functional_from_dual,
     lhs_feasible,
     linear_correlation_functional,
@@ -81,7 +80,6 @@ class TestPhenomenon:
 class TestGrids:
     def test_qubit_grid_contents(self):
         grid = qubit_grid(40)
-        assert grid.resolution == 40
         assert grid.matrices.shape == (41, 2, 2)
         assert np.allclose(grid.matrices[-1], np.eye(2) / 2)
         # pure states: rho^2 = rho
@@ -98,17 +96,17 @@ class TestGrids:
         with pytest.raises(ValueError):
             qubit_grid(0)
         with pytest.raises(ValueError, match="empty"):
-            HiddenStateGrid(matrices=np.empty((0, 2, 2), dtype=complex), resolution=0)
+            HiddenStateGrid(matrices=np.empty((0, 2, 2), dtype=complex))
 
     def test_mixed_dimensions_rejected(self):
         # One array cannot hold states of two dimensions.
         matrices = [*qubit_grid(2).matrices, *random_pure_grid(3, 2).matrices]
         with pytest.raises(ValueError, match="inhomogeneous"):
-            HiddenStateGrid(matrices=matrices, resolution=4)
+            HiddenStateGrid(matrices=matrices)
 
     def test_valid_stack_is_one_read_only_array(self, rng):
         mats = np.array([random_density_matrix(rng, 3).matrix for _ in range(5)])
-        grid = HiddenStateGrid(matrices=mats, resolution=4)
+        grid = HiddenStateGrid(matrices=mats)
         assert grid.dim == 3
         assert np.array_equal(grid.matrices, mats)
         assert not grid.matrices.flags.writeable
@@ -120,13 +118,13 @@ class TestGrids:
         mats = np.array([random_density_matrix(rng, 2).matrix for _ in range(7)])
         mats[3] = bad
         with pytest.raises(ValueError, match="eigenvalue below -1e-9"):
-            HiddenStateGrid(matrices=mats, resolution=6)
+            HiddenStateGrid(matrices=mats)
 
     def test_rejects_non_stack_shape(self):
         with pytest.raises(ValueError, match="shape"):
-            HiddenStateGrid(matrices=np.eye(2, dtype=complex) / 2, resolution=1)
+            HiddenStateGrid(matrices=np.eye(2, dtype=complex) / 2)
         with pytest.raises(ValueError, match="shape"):
-            HiddenStateGrid(matrices=np.ones((2, 2, 3), dtype=complex), resolution=2)
+            HiddenStateGrid(matrices=np.ones((2, 2, 3), dtype=complex))
 
 
 class TestFeasibility:
@@ -155,7 +153,7 @@ class TestFeasibility:
         jz = observable_to_measurement(np.diag([0.5, -0.5]).astype(complex), "Jz")
         strategy = all_pairs_strategy([jz], [jz])
         phen = phenomenon_from_state(state, strategy)
-        grid = HiddenStateGrid(matrices=rho_b.matrix[None], resolution=1)
+        grid = HiddenStateGrid(matrices=rho_b.matrix[None])
         outcome = lhs_feasible(phen, grid)
         assert isinstance(outcome, GridFeasible)
         assert np.sum(outcome.weights > 1e-7) == 1
@@ -163,7 +161,7 @@ class TestFeasibility:
     def test_refinement_keeps_feasible(self):
         # A model over a subgrid is a model over the fuller grid.
         full = qubit_grid(200)
-        sub = HiddenStateGrid(matrices=full.matrices[::4], resolution=len(full.matrices[::4]))
+        sub = HiddenStateGrid(matrices=full.matrices[::4])
         for mu in (0.4, 0.5):
             phen = werner_phenomenon(mu)
             if lhs_feasible(phen, sub).feasible:
@@ -305,12 +303,17 @@ class TestLinearCorrelationFunctional:
 class TestFeasibilityFlip:
     def test_brackets_validated(self):
         grid = qubit_grid(50)
-        with pytest.raises(ValueError):
-            feasibility_flip(lambda mu: werner_phenomenon(mu, STRATEGY2), grid, lo=0.9, hi=1.0)
+        # The singlet's phenomenon has no model at any parameter, 0 included.
+        singlet = phenomenon_from_state(singlet_state(), STRATEGY2)
+        with pytest.raises(ValueError, match="feasibility at the lower bracket 0"):
+            feasibility_flip(lambda mu: singlet, grid)
+        # Werner μ/2 stays below 1/√2, so it has a model at 1 too.
+        with pytest.raises(ValueError, match="infeasibility at the upper bracket 1"):
+            feasibility_flip(lambda mu: werner_phenomenon(mu / 2, STRATEGY2), grid)
 
     def test_tol_below_float_spacing_stops_at_adjacent_floats(self, monkeypatch):
         grid = qubit_grid(20)
-        cap_calls(monkeypatch, oracle, "lhs_feasible", 200)
+        cap_calls(monkeypatch, families, "lhs_feasible", 200)
         flip = feasibility_flip(lambda mu: werner_phenomenon(mu, STRATEGY2), grid, tol=1e-20)
         below, above = flip, np.nextafter(flip, np.inf)
         if not lhs_feasible(werner_phenomenon(below, STRATEGY2), grid).feasible:

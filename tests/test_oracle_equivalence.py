@@ -493,7 +493,6 @@ class TestGrids:
     def test_qubit_grid(self, resolution):
         grid = qubit_grid(resolution)
         assert grid.matrices.tobytes() == loop_reference.stacked(loop_reference.qubit_grid(resolution)).tobytes()
-        assert grid.resolution == resolution
 
     @pytest.mark.parametrize("resolution", [50, 800])
     def test_bob_tables_read_the_stacked_grid(self, resolution):
@@ -529,8 +528,9 @@ class TestGrids:
     @pytest.mark.parametrize("seed", [oracle.GRID_SEED, 7])
     @pytest.mark.parametrize("resolution", [1, 30, 800])
     @pytest.mark.parametrize("dim", [3, 4, 9])
-    def test_random_pure_grid(self, dim, resolution, seed):
-        grid = random_pure_grid(dim, resolution, seed)
+    def test_random_pure_grid(self, monkeypatch, dim, resolution, seed):
+        monkeypatch.setattr(oracle, "GRID_SEED", seed)
+        grid = random_pure_grid(dim, resolution)
         reference = loop_reference.random_pure_grid(dim, resolution, seed)
         assert grid.matrices.tobytes() == loop_reference.stacked(reference).tobytes()
 
@@ -816,7 +816,7 @@ class TestHighsColumns:
         bob = (observable_to_measurement(spin.jz, "Jz"),)
         strategy = MeasurementStrategy(alice=alice, bob=bob, pairing=((0, 0), (1, 0)))
         states = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2) / 2])
-        grid = oracle.HiddenStateGrid(matrices=states, resolution=2)
+        grid = oracle.HiddenStateGrid(matrices=states)
         phen = phenomenon_from_state(werner_state(0.6), strategy)
         assert np.count_nonzero(oracle._column_map(phen, grid)[1] == 0) == 4
         assert_same_grid_columns(phen, grid)

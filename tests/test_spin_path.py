@@ -29,11 +29,11 @@ from steerkit.criteria import (
 from steerkit.families import singlet_state, werner_state
 from steerkit.measurements import (
     Measurement,
-    _conditional_means,
     all_pairs_strategy,
     born_probabilities,
     check_probability_tables,
     effect_products,
+    inference_statistics,
     inference_variance,
     inferred_abs_mean,
     measure_joint,
@@ -164,7 +164,7 @@ class TestPlanPass:
             assert tables[idx].tobytes() == joint.probs.tobytes() == old.probs.tobytes()
             for got, per_pair, row_loop in zip(
                 (stats[idx].weights, stats[idx].means),
-                _conditional_means(joint),
+                inference_statistics(joint.probs, joint.b_values)[:2],
                 loop_reference.conditional_means(old),
             ):
                 assert bits(got) == bits(per_pair) == bits(row_loop)
