@@ -258,6 +258,7 @@ def read_measurement_file(path: str) -> tuple[Measurement, ...]:
     """
     measurements: list[Measurement] = []
     label: str | None = None
+    label_line = 0
     values: list[float] = []
     effects: list[np.ndarray] = []
     rows: list[list[complex]] = []
@@ -283,6 +284,8 @@ def read_measurement_file(path: str) -> tuple[Measurement, ...]:
         nonlocal label
         close_effect()
         if label is not None:
+            if not values:
+                raise ValueError(f"line {label_line}: measurement {label!r} has no outcome lines")
             measurements.append(
                 Measurement(label=label, values=tuple(values), effects=tuple(effects), kind="povm")
             )
@@ -297,6 +300,7 @@ def read_measurement_file(path: str) -> tuple[Measurement, ...]:
         if line.startswith("measurement"):
             close_measurement()
             label = line[len("measurement") :].strip()
+            label_line = lineno
             if not label:
                 raise ValueError(f"line {lineno}: measurement needs a label")
         elif line.startswith("outcome"):

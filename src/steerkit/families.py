@@ -150,7 +150,8 @@ def boundary_bisect(
     family_id: str,
     param: str,
     bracket: tuple[float, float] | None = None,
-    tol: float = 1e-9,
+    *,
+    tol: float,
     fixed: dict[str, float] | None = None,
     gain_mode: str | None = None,
 ) -> BoundaryResult:
@@ -209,7 +210,7 @@ def boundary_bisect(
 
 
 def feasibility_flip(
-    phenomenon_at: Callable[[float], Phenomenon], grid: HiddenStateGrid, tol: float = 1e-3
+    phenomenon_at: Callable[[float], Phenomenon], grid: HiddenStateGrid, tol: float
 ) -> float:
     """Bisect the parameter in [0, 1] where grid feasibility flips to infeasibility.
 

@@ -22,6 +22,7 @@ import functools
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from types import ModuleType
 from typing import Sequence
@@ -55,6 +56,8 @@ LP_CHECK_TOL = 10 * math.sqrt(1e-9)
 CERTIFY_MARGIN = 1e-9
 # Fixed seed for the unitary-invariant pure-state grids in dimension > 2.
 GRID_SEED = 20090617
+# Column maps kept for reuse, one per (strategy, grid): enough for mub2 and mub3 at two grid sizes.
+MAP_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -154,8 +157,9 @@ class HiddenStateGrid:
         return self.matrices.shape[1]
 
 
+@functools.lru_cache(maxsize=4)
 def qubit_grid(resolution: int) -> HiddenStateGrid:
-    """Golden-spiral pure states on the Bloch sphere, plus the maximally mixed state."""
+    """Golden-spiral pure states on the Bloch sphere, plus the maximally mixed state; built once per resolution."""
     if resolution < 1:
         raise ValueError(f"grid resolution must be >= 1, got {resolution}")
     spin = spin_operators(0.5)
@@ -228,27 +232,61 @@ def _bob_probability_table(grid: HiddenStateGrid, bob: Sequence[Measurement]) ->
     return tuple(tables)
 
 
-def _column_map(phen: Phenomenon, grid: HiddenStateGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The system A·w = b over weights w[strategy, grid state] ≥ 0, as rows, values and b.
+def _column_map(strategy: MeasurementStrategy, grid: HiddenStateGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix A of the system A·w = b over weights w[strategy, grid state] ≥ 0, as rows and values.
 
     A has one row per (pairing entry, Alice outcome, Bob outcome), then a normalization row Σw = 1.
     Column k·n_states + l holds values[l] in the ascending rows rows[k], and 0 elsewhere: per
     pairing entry (a, b), Q[b][:, l] in the rows of strategy k's answer to a; then 1.
     """
-    counts = [m.n_outcomes for m in phen.strategy.alice]
+    counts = [m.n_outcomes for m in strategy.alice]
     outcomes = _strategy_block(counts, np.arange(_strategy_count(counts)))
-    q_tables = _bob_probability_table(grid, phen.strategy.bob)
+    q_tables = _bob_probability_table(grid, strategy.bob)
     rows, values = [], []
     first = 0
-    for (a_idx, b_idx), table in zip(phen.strategy.pairing, phen.tables):
-        n_b = table.probs.shape[1]
+    for a_idx, b_idx in strategy.pairing:
+        n_b = strategy.bob[b_idx].n_outcomes
         rows.append(first + n_b * outcomes[a_idx][:, None] + np.arange(n_b))
         values.append(q_tables[b_idx])
-        first += table.probs.size
+        first += counts[a_idx] * n_b
     rows.append(np.full((len(outcomes[0]), 1), first))
     values.append(np.ones((1, len(grid.matrices))))
-    b_vec = np.concatenate([t.probs.ravel() for t in phen.tables] + [np.ones(1)])
-    return np.hstack(rows), np.vstack(values).T, b_vec
+    return np.hstack(rows), np.vstack(values).T
+
+
+# The column maps last read, least recently used first. A depends only on the strategy and
+# the grid, so the phenomena of one family share one map.
+_maps: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+# The HiGHS model of the last solve that passed its checks, with the column map it was built from.
+_live: tuple[tuple[np.ndarray, np.ndarray], object] | None = None
+# Guards _maps and the hand-over of _live.
+_lock = threading.Lock()
+
+
+def _system(phen: Phenomenon, grid: HiddenStateGrid) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The read-only column map of the phenomenon's strategy over the grid, and b: its tables, then 1.
+
+    The last MAP_CACHE_SIZE maps are kept and handed out again; b is built on every call.
+    """
+    strategy = phen.strategy
+    # All that _column_map reads: Alice's outcome counts, the pairing, Bob's effects and the grid states.
+    key = (
+        tuple(m.n_outcomes for m in strategy.alice),
+        strategy.pairing,
+        tuple(tuple((e.shape, e.tobytes()) for e in m.effects) for m in strategy.bob),
+        grid.matrices.shape,
+        grid.matrices.tobytes(),
+    )
+    with _lock:
+        column_map = _maps.pop(key, None)
+        if column_map is None:
+            column_map = _column_map(strategy, grid)
+            for array in column_map:
+                array.setflags(write=False)
+            if len(_maps) >= MAP_CACHE_SIZE:
+                del _maps[next(iter(_maps))]
+        _maps[key] = column_map
+    return column_map, np.concatenate([t.probs.ravel() for t in phen.tables] + [np.ones(1)])
 
 
 @dataclass(frozen=True)
@@ -314,18 +352,27 @@ def _highs_model(highs_core: ModuleType, rows: np.ndarray, values: np.ndarray, b
     The column starts, row indices and values are the indptr[:-1], indices
     and data of scipy's csc_array(np.hstack([A, I, -I])) to the byte: exact
     zeros (and -0.0) of the values are left out, each column lists its rows
-    in ascending order, and the indices are int32. The binding reads these
-    arrays through raw pointers and checks no index, so they are checked
-    here: a bad one would crash the interpreter instead of raising.
+    in ascending order, and the indices are int32. Each array is filled in
+    place, once. The binding reads these arrays through raw pointers and
+    checks no index, so they are checked here: a bad one would crash the
+    interpreter instead of raising.
     """
     n_rows = len(b_vec)
     n_vars = len(rows) * len(values) + 2 * n_rows
     kept = values != 0  # NaN is kept, as csc_array keeps it
     per_column = np.concatenate([np.tile(np.count_nonzero(kept, axis=1), len(rows)), np.ones(2 * n_rows, int)])
     starts = (np.cumsum(per_column) - per_column).astype(np.int32)
-    slack = np.arange(n_rows)
-    indices = np.concatenate([rows[:, np.nonzero(kept)[1]].ravel(), slack, slack], dtype=np.int32)
-    data = np.concatenate([np.tile(values[kept], len(rows)), np.ones(n_rows), -np.ones(n_rows)])
+    n_weights = len(rows) * np.count_nonzero(kept)
+    indices = np.empty(n_weights + 2 * n_rows, dtype=np.int32)
+    data = np.empty(n_weights + 2 * n_rows)
+    # Per strategy k, the kept rows[k] of each grid state in turn, and the kept values alike. "clip"
+    # writes straight into `out` (the default buffers a copy); the positions are in range by construction.
+    weight_indices = indices[:n_weights].reshape(len(rows), -1)
+    np.take(rows.astype(np.int32), np.nonzero(kept)[1], axis=1, out=weight_indices, mode="clip")
+    data[:n_weights].reshape(len(rows), -1)[:] = values[kept]
+    indices[n_weights:].reshape(2, n_rows)[:] = np.arange(n_rows)
+    data[n_weights : n_weights + n_rows] = 1.0
+    data[n_weights + n_rows :] = -1.0
     if not (len(starts) == n_vars and len(indices) == len(data) and starts[0] == 0 <= np.diff(starts).min()
             and starts[-1] <= len(data) and 0 <= indices.min() and indices.max() < n_rows):
         raise ValueError(f"LP columns need matching lengths, non-decreasing starts and row indices in [0, {n_rows})")
@@ -349,26 +396,41 @@ def lhs_feasible(phen: Phenomenon, grid: HiddenStateGrid) -> GridFeasible | Grid
     the model and options `linprog(method="highs")` would hand it, and comes
     back through `linprog`'s checks: finite input, an optimal status, and a
     solution within LP_CHECK_TOL of every bound and equality. Of scipy, only
-    that binding is loaded. A is never formed: `_highs_model` writes its
-    column-wise arrays, `csc_array`'s bytes, straight from the column map.
+    that binding is loaded. A is never formed: A depends only on the strategy
+    and the grid, so its column map comes from `_system`'s cache, and
+    `_highs_model` writes its column-wise arrays, `csc_array`'s bytes, from it.
+    One HiGHS model stays alive between calls, that of the last solve, with
+    its solver data cleared: a call on its column map only sets the row
+    bounds to this b, and solves from a cold start, as a new model does, to
+    the bit. Any other map, or a failed solve, drops it.
     """
+    global _live
     # Loaded here, not with the module, and alone (see _highs_binding).
     highs_core = _highs_binding()
-    rows, values, b_vec = _column_map(phen, grid)
+    column_map, b_vec = _system(phen, grid)
+    rows, values = column_map
     if not (np.isfinite(values).all() and np.isfinite(b_vec).all()):
         raise ValueError("LP system must be finite")
-    highs = highs_core._Highs()
-    # Set before the model is passed, so that HiGHS prints no banner. HiGHS's
-    # presolve reduces nothing here unless a table entry is within its 1e-7
-    # feasibility tolerance of zero, and skipping it saves about 40% of the
-    # solve. Where it does reduce (the singlet), only the choice among optimal
-    # duals moves; verdicts and certification stay.
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("log_to_console", False)
-    highs.setOptionValue("presolve", "off")
-    highs.setOptionValue("simplex_strategy", int(highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
-    # HiGHS copies the model, so the column arrays are freed before the solve.
-    highs.passModel(*_highs_model(highs_core, rows, values, b_vec))
+    with _lock:
+        live, _live = _live, None
+    if live is not None and live[0] is column_map:
+        highs = live[1]
+        for i, b in enumerate(b_vec.tolist()):
+            highs.changeRowBounds(i, b, b)
+    else:
+        live = None  # the old model goes before a new one is built
+        highs = highs_core._Highs()
+        # Set before the model is passed, so that HiGHS prints no banner. HiGHS's
+        # presolve reduces nothing here unless a table entry is within its 1e-7
+        # feasibility tolerance of zero, and skipping it saves about 40% of the
+        # solve. Where it does reduce (the singlet), only the choice among optimal
+        # duals moves; verdicts and certification stay.
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("log_to_console", False)
+        highs.setOptionValue("presolve", "off")
+        highs.setOptionValue("simplex_strategy", int(highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
+        # HiGHS copies the model, so the column arrays are freed before the solve.
+        highs.passModel(*_highs_model(highs_core, rows, values, b_vec))
     # A model HiGHS refuses stays unloaded, and an empty model is not optimal.
     highs.run()
     status = highs.getModelStatus()
@@ -384,6 +446,10 @@ def lhs_feasible(phen: Phenomenon, grid: HiddenStateGrid) -> GridFeasible | Grid
             f"LP solver failed (status {highs.modelStatusToString(status)}): the solution misses a bound"
             f" or an equality by more than {LP_CHECK_TOL:.2e}"
         )
+    # Kept without its solver data (basis and factor), which frees memory between calls; so the
+    # next solve on it starts cold, as on a new model, and returns the same bits.
+    highs.clearSolver()
+    _live = (column_map, highs)
     if violation <= SLACK_BAND * len(b_vec):
         weights = x[: len(rows) * len(values)].reshape(len(rows), len(values))
         return GridFeasible(weights=weights, residual=violation)
@@ -445,7 +511,7 @@ def functional_from_dual(
     ≤ -y_norm by construction; only `certify_steering` turns it into a
     rigorous grid-free verdict.
     """
-    rows, values, b_vec = _column_map(phen, grid)
+    (rows, values), b_vec = _system(phen, grid)
     y = np.asarray(infeasible.dual, dtype=float)
     if y.shape != b_vec.shape:
         raise ValueError(f"dual length {y.shape} does not match {b_vec.size} constraints")
@@ -578,7 +644,7 @@ def reproduce_tables(phen: Phenomenon, grid: HiddenStateGrid, weights: np.ndarra
     Returns one array per pairing entry with
     P(A,B|a,b) = Σ_{k: k(a)=A, λ} w[k,λ]·Tr[F_B^b ρ_λ], the rows of A·w.
     """
-    rows, values, b_vec = _column_map(phen, grid)
+    (rows, values), b_vec = _system(phen, grid)
     if weights.shape != (len(rows), len(values)):
         raise ValueError(f"weights shape {weights.shape} does not match strategies x grid")
     # Strategy k adds Σ_l w[k, l]·values[l] to its rows rows[k].

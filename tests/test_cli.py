@@ -492,7 +492,7 @@ class TestMeasurementFile:
     def test_measurement_without_outcomes_exits_1(self, capsys, tmp_path):
         code, out, err = self._oracle_on_file(capsys, tmp_path, "measurement Jz\nmeasurement Jx\noutcome 1\n1 0\n")
         assert (code, out) == (1, "")
-        assert err == "steerkit: failed: values and effects must be non-empty and of equal length\n"
+        assert err == "steerkit: failed: line 1: measurement 'Jz' has no outcome lines\n"
 
     def test_qutrit_file_on_qubit_family_exits_2(self, capsys, tmp_path):
         qutrit = tmp_path / "qutrit.txt"

@@ -120,19 +120,19 @@ class TestBoundaryBisect:
 
     def test_same_verdict_bracket_rejected(self):
         with pytest.raises(ValueError, match="same verdict"):
-            boundary_bisect("linear-3", "werner", "mu", bracket=(0.0, 0.5))
+            boundary_bisect("linear-3", "werner", "mu", bracket=(0.0, 0.5), tol=1e-9)
 
     def test_never_violated_criterion_rejected(self):
         with pytest.raises(ValueError, match="same verdict"):
-            boundary_bisect("bowen", "werner", "mu")
+            boundary_bisect("bowen", "werner", "mu", tol=1e-9)
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
-            boundary_bisect("linear-3", "werner", "mu", bracket=(0.8, 0.2))
+            boundary_bisect("linear-3", "werner", "mu", bracket=(0.8, 0.2), tol=1e-9)
 
     def test_infinite_range_needs_bracket(self):
         with pytest.raises(ValueError, match="bracket"):
-            boundary_bisect("reid-cv", "symmetric-gaussian", "nbar", fixed={"mu": 0.9})
+            boundary_bisect("reid-cv", "symmetric-gaussian", "nbar", tol=1e-9, fixed={"mu": 0.9})
 
     @pytest.mark.parametrize("tol", [1e-20, 1e-300, 0.0])
     @pytest.mark.parametrize(

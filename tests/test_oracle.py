@@ -306,10 +306,10 @@ class TestFeasibilityFlip:
         # The singlet's phenomenon has no model at any parameter, 0 included.
         singlet = phenomenon_from_state(singlet_state(), STRATEGY2)
         with pytest.raises(ValueError, match="feasibility at the lower bracket 0"):
-            feasibility_flip(lambda mu: singlet, grid)
+            feasibility_flip(lambda mu: singlet, grid, tol=1e-3)
         # Werner μ/2 stays below 1/√2, so it has a model at 1 too.
         with pytest.raises(ValueError, match="infeasibility at the upper bracket 1"):
-            feasibility_flip(lambda mu: werner_phenomenon(mu / 2, STRATEGY2), grid)
+            feasibility_flip(lambda mu: werner_phenomenon(mu / 2, STRATEGY2), grid, tol=1e-3)
 
     def test_tol_below_float_spacing_stops_at_adjacent_floats(self, monkeypatch):
         grid = qubit_grid(20)

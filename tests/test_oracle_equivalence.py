@@ -6,7 +6,10 @@ per-entry loops and np.trace they are compared with sum in another order.
 
 import functools
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -452,8 +455,14 @@ def dense_from_map(rows, values, n_rows):
     return a_mat
 
 
+def system(phen, grid):
+    """The column map and b that the oracle solves, as rows, values and b."""
+    (rows, values), b_vec = oracle._system(phen, grid)
+    return rows, values, b_vec
+
+
 def assert_same_system(phen, grid):
-    rows, values, b_vec = oracle._column_map(phen, grid)
+    rows, values, b_vec = system(phen, grid)
     ref_a, ref_b, ref_strategies = lp_system(phen, grid, phen.strategy.bob)
     a_mat = dense_from_map(rows, values, len(b_vec))
     assert np.array_equal(a_mat, ref_a)
@@ -537,7 +546,7 @@ class TestGrids:
 
 def map_dual_columns(phen, grid, y):
     """yᵀA as the dual check takes it from the column map, as an array [strategy, grid state]."""
-    rows, values, _ = oracle._column_map(phen, grid)
+    rows, values, _ = system(phen, grid)
     return y[rows] @ values.T
 
 
@@ -593,7 +602,7 @@ class TestOneColumnMap:
         phen = werner_mub_phenomenon(0.9)
         grid = qubit_grid(50)
         outcome = lhs_feasible(phen, grid)
-        b_vec = oracle._column_map(phen, grid)[2]
+        b_vec = system(phen, grid)[2]
         for y_b in (0.0, -1.0):
             shifted = outcome.dual.copy()
             shifted[-1] -= outcome.dual @ b_vec - y_b
@@ -737,9 +746,14 @@ class TestPresolveOff:
 
     def test_presolve_always_off(self, monkeypatch):
         solvers = highs_solvers(monkeypatch)
+        # Four solves on one column map re-solve one model; each other map makes its own.
         for mu in (0.5, 1 - 4e-5, 1.0, None):
             lhs_feasible(mub_phenomenon(3, mu), qubit_grid(50))
-        assert [solver.getOptionValue("presolve")[1] for solver in solvers] == ["off"] * 4
+        assert len(solvers) == 1
+        lhs_feasible(mub_phenomenon(2, 0.5), qubit_grid(50))
+        lhs_feasible(mub_phenomenon(3, 0.5), qubit_grid(1))
+        assert len(solvers) == 3
+        assert [solver.getOptionValue("presolve")[1] for solver in solvers] == ["off"] * 3
 
 
 class TestDirectHighs:
@@ -757,6 +771,139 @@ class TestDirectHighs:
 
     def test_spin1_qutrit_grid(self, rng):
         assert_same_solve(qutrit_phenomenon(rng), hidden_state_grid(3, 200), loop_reference.lhs_feasible_linprog)
+
+
+def stub_solver(overrides):
+    """A solver class wrapping the binding's; each named override gets the real solver first."""
+    from scipy.optimize._highspy import _core
+
+    real = _core._Highs
+
+    class Stub:
+        def __init__(self):
+            self.highs = real()
+
+        def __getattr__(self, name):
+            if name in overrides:
+                return functools.partial(overrides[name], self.highs)
+            return getattr(self.highs, name)
+
+    return Stub
+
+
+def single_solvers(monkeypatch, solver_type=None):
+    """Replace the binding's solver class; returns weak references to the solvers made since.
+
+    Making a solver while an earlier one is still alive fails the test.
+    """
+    from scipy.optimize._highspy import _core
+
+    solver_type = solver_type or _core._Highs
+    made = []
+
+    def make():
+        assert all(ref() is None for ref in made), "a second HiGHS solver while one is alive"
+        solver = solver_type()
+        made.append(weakref.ref(solver))
+        return solver
+
+    monkeypatch.setattr(_core, "_Highs", make)
+    return made
+
+
+def solve_bytes(outcome):
+    """What a solve returns, as bytes: the verdict, then the violation or residual and the dual or weights."""
+    if outcome.feasible:
+        return True, np.float64(outcome.residual).tobytes(), outcome.weights.tobytes()
+    return False, np.float64(outcome.violation).tobytes(), outcome.dual.tobytes()
+
+
+def fresh_solve(phen, grid):
+    """`lhs_feasible` on a new HiGHS model."""
+    oracle._live = None
+    return lhs_feasible(phen, grid)
+
+
+def live_sequence(seed):
+    """Solves over six column maps (mub2/mub3 × grids 1/50/200), each followed by one more on its map.
+
+    The first of each pair is Werner at threshold ± 0.02, μ 0.3 or 0.9, or the singlet, in a seeded
+    order; the second is Werner at a random μ. Six maps overflow the four-map cache.
+    """
+    rng = np.random.default_rng(seed)
+    configs = [
+        (n_mub, resolution, mu)
+        for n_mub in (2, 3) for resolution in (1, 50, 200) for mu in (-0.02, 0.02, 0.3, 0.9, None)
+    ]
+    sequence = []
+    for i in rng.permutation(len(configs)):
+        n_mub, resolution, mu = configs[i]
+        sequence.append((mub_phenomenon(n_mub, mu), qubit_grid(resolution)))
+        sequence.append((mub_phenomenon(n_mub, float(rng.uniform(0.0, 1.0))), qubit_grid(resolution)))
+    return sequence
+
+
+class TestLiveModel:
+    """A solve on the last solve's column map re-solves that HiGHS model, and returns what a new model does."""
+
+    def test_interleaved_resolves_match_new_models(self, monkeypatch):
+        sequence = live_sequence(3)
+        expected = [solve_bytes(fresh_solve(phen, grid)) for phen, grid in sequence]
+        oracle._live = None
+        solvers = single_solvers(monkeypatch)
+        for (phen, grid), reference in zip(sequence, expected, strict=True):
+            assert solve_bytes(lhs_feasible(phen, grid)) == reference
+            assert sum(ref() is not None for ref in solvers) == 1
+        # Every second solve is on the map of the one before, so it re-solves that model.
+        assert len(solvers) <= len(sequence) // 2
+
+    def test_failed_resolve_leaves_no_model(self, monkeypatch):
+        from scipy.optimize._highspy._core import HighsModelStatus
+
+        grid = qubit_grid(50)
+        expected = solve_bytes(fresh_solve(werner_mub_phenomenon(0.9), grid))
+        oracle._live = None
+        failing = []
+        stub = stub_solver(
+            {"getModelStatus": lambda highs: HighsModelStatus.kSolveError if failing else highs.getModelStatus()}
+        )
+        solvers = single_solvers(monkeypatch, stub)
+        assert lhs_feasible(werner_mub_phenomenon(0.4), grid).feasible
+        failing.append(True)
+        with pytest.raises(RuntimeError, match="LP solver failed"):
+            lhs_feasible(werner_mub_phenomenon(0.9), grid)
+        assert oracle._live is None
+        assert len(solvers) == 1  # the failed solve was a re-solve
+        failing.clear()
+        assert solve_bytes(lhs_feasible(werner_mub_phenomenon(0.9), grid)) == expected
+        assert len(solvers) == 2
+
+    def test_threads_share_the_caches(self):
+        # More threads than cores, each on an interleaved sequence over the same
+        # maps, with a short switch interval: a solver two threads shared, or a
+        # map handed out half built, would show as a wrong result.
+        sequence = live_sequence(7)[:24]
+        expected = [solve_bytes(fresh_solve(phen, grid)) for phen, grid in sequence]
+        results = {}
+
+        def run(index):
+            order = np.random.default_rng(index).permutation(len(sequence))
+            results[index] = all(
+                solve_bytes(lhs_feasible(*sequence[i])) == expected[i] for i in order
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(index,)) for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {index: True for index in range(4)}
 
 
 def column_arrays(rows, values, b_vec):
@@ -778,7 +925,7 @@ def assert_same_columns(rows, values, b_vec, a_mat):
 
 
 def assert_same_grid_columns(phen, grid):
-    rows, values, b_vec = oracle._column_map(phen, grid)
+    rows, values, b_vec = system(phen, grid)
     a_mat, ref_b, _ = loop_reference.dense_lp_system(phen, grid)
     assert dense_from_map(rows, values, len(b_vec)).tobytes() == a_mat.tobytes()
     assert b_vec.tobytes() == ref_b.tobytes()
@@ -818,7 +965,7 @@ class TestHighsColumns:
         states = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2) / 2])
         grid = oracle.HiddenStateGrid(matrices=states)
         phen = phenomenon_from_state(werner_state(0.6), strategy)
-        assert np.count_nonzero(oracle._column_map(phen, grid)[1] == 0) == 4
+        assert np.count_nonzero(system(phen, grid)[1] == 0) == 4
         assert_same_grid_columns(phen, grid)
 
     def test_signed_zeros_and_non_finite_entries(self, rng):
@@ -837,20 +984,7 @@ class TestSolveFailure:
     @staticmethod
     def solve_with(monkeypatch, **overrides):
         """One solve on a solver whose named methods are replaced; each override gets the real solver first."""
-        from scipy.optimize._highspy import _core
-
-        real = _core._Highs
-
-        class Stub:
-            def __init__(self):
-                self.highs = real()
-
-            def __getattr__(self, name):
-                if name in overrides:
-                    return functools.partial(overrides[name], self.highs)
-                return getattr(self.highs, name)
-
-        highs_solvers(monkeypatch, Stub)
+        highs_solvers(monkeypatch, stub_solver(overrides))
         return lhs_feasible(werner_mub_phenomenon(0.9), qubit_grid(50))
 
     @staticmethod
@@ -901,11 +1035,11 @@ from steerkit import oracle
 from steerkit.families import werner_state
 from steerkit.measurements import all_pairs_strategy
 real = oracle._column_map
-def corrupted(phen, grid):
-    rows, values, b_vec = real(phen, grid)
-    n_rows = len(b_vec)
+def corrupted(strategy, grid):
+    rows, values = real(strategy, grid)
+    n_rows = rows[0, -1] + 1  # the normalization row is the last
     rows[3, 1] = {bad_row}
-    return rows, values, b_vec
+    return rows, values
 oracle._column_map = corrupted
 mub3 = oracle.mub_qubit_measurements(3)
 phen = oracle.phenomenon_from_state(werner_state(0.9), all_pairs_strategy(mub3, mub3))
@@ -920,13 +1054,14 @@ except ValueError as error:
     @pytest.mark.parametrize("part", [0, 1])
     def test_non_finite_system(self, monkeypatch, part, bad):
         # HiGHS itself reports such a model optimal.
-        real = oracle._column_map
+        real = oracle._system
 
         def corrupted(phen, grid):
-            rows, values, b_vec = real(phen, grid)
+            (rows, values), b_vec = real(phen, grid)
+            values = values.copy()  # the cached map is read-only
             (values, b_vec)[part][..., 0] = bad
-            return rows, values, b_vec
+            return (rows, values), b_vec
 
-        monkeypatch.setattr(oracle, "_column_map", corrupted)
+        monkeypatch.setattr(oracle, "_system", corrupted)
         with pytest.raises(ValueError, match="must be finite"):
             lhs_feasible(werner_mub_phenomenon(0.9), qubit_grid(50))
