@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,9 @@ from util import Assemblage, assemblage_from_state, random_density_matrix, rando
 SPIN = spin_operators(0.5)
 JZ_MEAS = observable_to_measurement(SPIN.jz, "Jz")
 JX_MEAS = observable_to_measurement(SPIN.jx, "Jx")
+# diag(1, a, 0) and diag(0, b, 0) are each idempotent within 1e-9 and, with
+# diag(0, 0, 1), sum to the identity within 1e-10, yet overlap by a·b > 1e-9.
+OVERLAP_A, OVERLAP_B = 1e-9 + 0.975e-18, 1 - 0.95e-9
 
 
 def trine_povm() -> Measurement:
@@ -78,6 +83,34 @@ class TestMeasurementValidation:
         p = np.diag([1.0, 0.0])
         with pytest.raises(ValueError):
             Measurement("bad", (1.0, -1.0), (p, np.eye(2) - p / 2), kind="projective")
+
+    @pytest.mark.parametrize(
+        "kind, values, effects, message",
+        [
+            ("pvm", (1.0,), (np.eye(2),), "kind must be 'projective' or 'povm', got 'pvm'"),
+            ("povm", (), (), "values and effects must be non-empty and of equal length"),
+            ("povm", (1.0, -1.0), (np.eye(2),), "values and effects must be non-empty and of equal length"),
+            ("povm", (1.0,), (np.eye(2, 3),), "all effects must be square matrices of equal dimension"),
+            ("povm", (1.0, -1.0), (np.eye(2) / 2, np.eye(3) / 2),
+             "all effects must be square matrices of equal dimension"),
+            ("povm", (1.0, -1.0), (np.array([[0.5, 0.1], [0.0, 0.5]]), np.array([[0.5, -0.1], [0.0, 0.5]])),
+             "effect of measurement 'bad' is not Hermitian"),
+            ("povm", (1.0, -1.0), (np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])),
+             "effect of measurement 'bad' is not PSD within 1e-9"),
+            ("povm", (1.0, -1.0), (np.eye(2) / 2, np.eye(2) / 4),
+             "effects of measurement 'bad' do not sum to the identity"),
+            ("projective", (1.0, 0.0, -1.0), (np.diag([1.0, 0.0]), np.diag([0.0, 0.5]), np.diag([0.0, 0.5])),
+             "projective effect 1 of 'bad' is not idempotent"),
+            ("projective", (1.0, 0.0, -1.0),
+             (np.diag([0.0, 0.0, 1.0]), np.diag([1.0, OVERLAP_A, 0.0]), np.diag([0.0, OVERLAP_B, 0.0])),
+             "projective effects 1,2 of 'bad' overlap"),
+        ],
+        ids=["kind", "empty", "unequal", "non-square", "mixed-shapes", "non-hermitian", "non-psd",
+             "incomplete", "non-idempotent", "overlap"],
+    )
+    def test_single_fault_message(self, kind, values, effects, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Measurement("bad", values, effects, kind=kind)
 
 
 class TestMeasurementStrategy:
