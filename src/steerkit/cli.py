@@ -286,9 +286,7 @@ def read_measurement_file(path: str) -> tuple[Measurement, ...]:
         if label is not None:
             if not values:
                 raise ValueError(f"line {label_line}: measurement {label!r} has no outcome lines")
-            measurements.append(
-                Measurement(label=label, values=tuple(values), effects=tuple(effects), kind="povm")
-            )
+            measurements.append(Measurement(label=label, values=values, effects=effects, kind="povm"))
         label = None
         values.clear()
         effects.clear()
@@ -336,6 +334,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise UsageError(f"--grid must be >= 1, got {args.grid}")
     if FAMILIES[args.family].kind != "spin":
         raise UsageError(f"oracle needs a finite-dimensional family, not {args.family!r}")
+    if args.certificate_out is not None and not args.certify:
+        raise UsageError("--certificate-out needs --certify")
     state = make_state(args.family, **params)
     if args.measurements in ("mub2", "mub3"):
         if state.dim_a != 2 or state.dim_b != 2:

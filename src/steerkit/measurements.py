@@ -19,7 +19,6 @@ from .core import (
     BipartiteState,
     dagger,
     hermitian_eigensystem,
-    is_hermitian,
     tensor_product,
     variance,
 )
@@ -36,13 +35,14 @@ EIGENVALUE_MERGE_TOL = 1e-8
 class Measurement:
     """Outcome values paired with effect operators, projective or POVM.
 
-    Effects must be Hermitian PSD and sum to the identity. Projective
-    measurements additionally require idempotent, mutually orthogonal effects.
+    The effects are one read-only (n, d, d) complex array, a copy validated
+    once: Hermitian PSD and summing to the identity. Projective measurements
+    additionally require idempotent, mutually orthogonal effects.
     """
 
     label: str
     values: tuple[float, ...]
-    effects: tuple[np.ndarray, ...]
+    effects: np.ndarray
     kind: str = "projective"
 
     def __post_init__(self) -> None:
@@ -50,33 +50,32 @@ class Measurement:
             raise ValueError(f"kind must be 'projective' or 'povm', got {self.kind!r}")
         if len(self.values) != len(self.effects) or not self.values:
             raise ValueError("values and effects must be non-empty and of equal length")
-        effects = tuple(np.asarray(e, dtype=complex) for e in self.effects)
-        dim = effects[0].shape[0]
-        for e in effects:
-            if e.shape != (dim, dim):
-                raise ValueError("all effects must be square matrices of equal dimension")
-            if not is_hermitian(e, ATOL_SPECTRAL):
-                raise ValueError(f"effect of measurement {self.label!r} is not Hermitian")
-            if np.linalg.eigvalsh(e).min() < -ATOL_SPECTRAL:
-                raise ValueError(f"effect of measurement {self.label!r} is not PSD within 1e-9")
-        total = sum(effects)
-        if np.max(np.abs(total - np.eye(dim))) > ATOL_STRUCTURAL:
+        shape = np.shape(self.effects[0])
+        if len(shape) != 2 or shape[0] != shape[1] or any(np.shape(e) != shape for e in self.effects):
+            raise ValueError("all effects must be square matrices of equal dimension")
+        effects = np.array(self.effects, dtype=complex)
+        # Written so that NaN, which fails every comparison, fails this one.
+        if not np.abs(effects - effects.conj().swapaxes(1, 2)).max() <= ATOL_SPECTRAL:
+            raise ValueError(f"effect of measurement {self.label!r} is not Hermitian")
+        if np.linalg.eigvalsh(effects).min() < -ATOL_SPECTRAL:
+            raise ValueError(f"effect of measurement {self.label!r} is not PSD within 1e-9")
+        if np.abs(effects.sum(axis=0) - np.eye(shape[0])).max() > ATOL_STRUCTURAL:
             raise ValueError(f"effects of measurement {self.label!r} do not sum to the identity")
         if self.kind == "projective":
             for i, e in enumerate(effects):
                 if np.max(np.abs(e @ e - e)) > ATOL_SPECTRAL:
                     raise ValueError(f"projective effect {i} of {self.label!r} is not idempotent")
-                for k in range(i):
-                    if np.max(np.abs(effects[k] @ e)) > ATOL_SPECTRAL:
-                        raise ValueError(f"projective effects {k},{i} of {self.label!r} overlap")
-        for e in effects:
-            e.setflags(write=False)
+                # max |E_k E_i| for every k < i, one stacked product.
+                overlap = np.flatnonzero(np.abs(effects[:i] @ e).max(axis=(1, 2)) > ATOL_SPECTRAL)
+                if len(overlap):
+                    raise ValueError(f"projective effects {overlap[0]},{i} of {self.label!r} overlap")
+        effects.setflags(write=False)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "effects", effects)
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     @property
     def n_outcomes(self) -> int:
@@ -108,7 +107,7 @@ def observable_to_measurement(obs: np.ndarray, label: str) -> Measurement:
     return Measurement(
         label=label,
         values=tuple(values),
-        effects=tuple(projectors),
+        effects=projectors,
         kind="projective",
     )
 
@@ -206,9 +205,8 @@ def effect_products(a: Measurement, b: Measurement) -> np.ndarray:
     Each entry is the same complex multiply as in tensor_product, so each
     product has its bits.
     """
-    ea, fb = np.stack(a.effects), np.stack(b.effects)
     d = a.dim * b.dim
-    products = ea[:, None, :, None, :, None] * fb[None, :, None, :, None, :]
+    products = a.effects[:, None, :, None, :, None] * b.effects[None, :, None, :, None, :]
     return products.reshape(a.n_outcomes, b.n_outcomes, d, d)
 
 

@@ -109,9 +109,7 @@ def _same_strategy(first: MeasurementStrategy, second: MeasurementStrategy) -> b
         if len(side_a) != len(side_b):
             return False
         for m1, m2 in zip(side_a, side_b):
-            if m1.values != m2.values or len(m1.effects) != len(m2.effects):
-                return False
-            if any(not np.array_equal(e1, e2) for e1, e2 in zip(m1.effects, m2.effects)):
+            if m1.values != m2.values or not np.array_equal(m1.effects, m2.effects):
                 return False
     return True
 
@@ -225,7 +223,7 @@ def _bob_probability_table(grid: HiddenStateGrid, bob: Sequence[Measurement]) ->
     for meas in bob:
         if meas.dim != grid.dim:
             raise ValueError(f"Bob measurement {meas.label!r} dimension mismatch with grid")
-        products = np.stack(meas.effects)[:, None] @ grid.matrices[None]
+        products = meas.effects[:, None] @ grid.matrices[None]
         table = np.einsum("...ii->...", products).real
         table.setflags(write=False)
         tables.append(table)
@@ -273,7 +271,7 @@ def _system(phen: Phenomenon, grid: HiddenStateGrid) -> tuple[tuple[np.ndarray, 
     key = (
         tuple(m.n_outcomes for m in strategy.alice),
         strategy.pairing,
-        tuple(tuple((e.shape, e.tobytes()) for e in m.effects) for m in strategy.bob),
+        tuple((m.effects.shape, m.effects.tobytes()) for m in strategy.bob),
         grid.matrices.shape,
         grid.matrices.tobytes(),
     )

@@ -650,3 +650,23 @@ def test_cli_reads_no_private_names_of_other_modules():
                     private.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert "oracle_mod" in bound_modules
     assert private == []
+
+
+def restacked_effects(src: Path) -> list[str]:
+    """Calls np.stack, np.array or np.asarray on a `.effects` attribute, other than Measurement's own copy."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                    and node.func.attr in ("stack", "array", "asarray")):
+                found += [f"{path.name}:{node.lineno}: np.{node.func.attr}" for arg in node.args for sub in ast.walk(arg)
+                          if isinstance(sub, ast.Attribute) and sub.attr == "effects"
+                          and not (isinstance(sub.value, ast.Name) and sub.value.id == "self")]
+    return found
+
+
+def test_no_module_restacks_measurement_effects():
+    # Measurement holds its effects as one validated (n, d, d) array; every
+    # other module reads that array as it is.
+    assert restacked_effects(ROOT / "src" / "steerkit") == []

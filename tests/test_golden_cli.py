@@ -215,6 +215,9 @@ USAGE_ERRORS: list[tuple[str, list[str]]] = [
      ["oracle", "--family", "symmetric-gaussian", "--nbar", "1", "--mu", "0.5",
       "--measurements", "mub3", "--grid", "0"]),
     ("usage-figure-nbar.stderr", ["figure", "cv-bounds", "--nbar-grid", "0:1:3"]),
+    ("usage-certificate-out-without-certify.stderr",
+     ["oracle", "--family", "werner", "--mu", "0.9", "--measurements", "mub2", "--grid", "50",
+      "--certificate-out", "certificate.json"]),
 ]
 
 

@@ -112,6 +112,16 @@ class TestMeasurementValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Measurement("bad", values, effects, kind=kind)
 
+    def test_effects_are_a_read_only_copy(self):
+        up, down = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        m = Measurement("Z", (0.5, -0.5), (up, down))
+        assert m.effects.shape == (2, 2, 2) and m.effects.dtype == complex
+        assert not m.effects.flags.writeable
+        assert up.flags.writeable and m.effects[0] is not up
+        assert not np.shares_memory(m.effects, up)
+        up[0, 0] = 7.0
+        assert m.effects.tobytes() == np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex).tobytes()
+
 
 class TestMeasurementStrategy:
     @pytest.mark.parametrize("party", ["alice", "bob"])

@@ -283,7 +283,7 @@ class TestCachedSpinObjects:
         for i in range(3):
             assert first.pairs[i].bob is second.pairs[i].bob
             assert first.pairs[i].alice is second.pairs[i].alice
-            for effect in first.pairs[i].bob.effects + first.pairs[i].alice.effects:
+            for effect in (*first.pairs[i].bob.effects, *first.pairs[i].alice.effects):
                 assert_read_only(effect)
 
     def test_plan_measurements_match_fresh_ones(self):
