@@ -652,21 +652,27 @@ def test_cli_reads_no_private_names_of_other_modules():
     assert private == []
 
 
-def restacked_effects(src: Path) -> list[str]:
-    """Calls np.stack, np.array or np.asarray on a `.effects` attribute, other than Measurement's own copy."""
-    found = []
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
-                    and node.func.attr in ("stack", "array", "asarray")):
-                found += [f"{path.name}:{node.lineno}: np.{node.func.attr}" for arg in node.args for sub in ast.walk(arg)
-                          if isinstance(sub, ast.Attribute) and sub.attr == "effects"
-                          and not (isinstance(sub.value, ast.Name) and sub.value.id == "self")]
-    return found
+def restacked_effects(source: str) -> list[int]:
+    """Lines that pass a `.effects` attribute, other than `self.effects`, to np.stack, np.array or np.asarray."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                and node.func.attr in ("stack", "array", "asarray")):
+            continue
+        arguments = [*node.args, *(keyword.value for keyword in node.keywords)]
+        if any(isinstance(sub, ast.Attribute) and sub.attr == "effects"
+               and not (isinstance(sub.value, ast.Name) and sub.value.id == "self")
+               for argument in arguments for sub in ast.walk(argument)):
+            lines.append(node.lineno)
+    return lines
 
 
 def test_no_module_restacks_measurement_effects():
-    # Measurement holds its effects as one validated (n, d, d) array; every
-    # other module reads that array as it is.
-    assert restacked_effects(ROOT / "src" / "steerkit") == []
+    # Measurement copies its effects once into a validated (n, d, d) array;
+    # every other module reads that array as it is.
+    sample = "a = np.stack(m.effects)\nb = np.asarray(a=[*m.effects])\nc = np.array(self.effects)\nd = m.effects\n"
+    assert restacked_effects(sample) == [1, 2]
+    restacked = {path.name: restacked_effects(path.read_text())
+                 for path in sorted((ROOT / "src" / "steerkit").glob("*.py"))}
+    assert {name: lines for name, lines in restacked.items() if lines} == {}
