@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    ATOL_STRUCTURAL,
     BipartiteState,
     expectation,
     partial_trace,
@@ -116,10 +117,10 @@ class InferencePlan:
     """Measurement choices for each inferred Bob observable.
 
     Alice's choices are free parameters of every inference criterion; a plan
-    pins them down explicitly. Bob's observables, their commutation residues
-    and Casimir sum, and the effect products are computed on first use and
-    kept, so the evaluations that share a plan compute them once; the checks
-    against COMMUTATION_TOL still run on every evaluation.
+    pins them down explicitly. Bob's observables, their commutation residues,
+    Casimir sum and Casimir residue, and the effect products are computed on
+    first use and kept, so the evaluations that share a plan compute them
+    once; the checks against COMMUTATION_TOL still run on every evaluation.
     """
 
     pairs: tuple[InferencePair, ...]
@@ -166,6 +167,13 @@ class InferencePlan:
         """b1² + b2² + b3² of three pairs' Bob operators."""
         b_ops = self.bob_operators
         return b_ops[0] @ b_ops[0] + b_ops[1] @ b_ops[1] + b_ops[2] @ b_ops[2]
+
+    @functools.cached_property
+    def casimir_residue(self) -> float:
+        """max |b1² + b2² + b3² − j(j+1)·I| of three pairs, j read from Bob's dimension d = 2j + 1."""
+        dim = self.casimir.shape[0]
+        j_val = (dim - 1) / 2
+        return float(np.max(np.abs(self.casimir - j_val * (j_val + 1) * np.eye(dim))))
 
 
 def _spin_measurements(j: float, party: str) -> tuple[Measurement, Measurement, Measurement]:
@@ -290,7 +298,7 @@ def eval_additive_sum_three_spin(state: BipartiteState, plan: InferencePlan) -> 
     _require_three_pairs(plan, "sum-three-spin")
     j_val = (state.dim_b - 1) / 2
     _check_commutation(plan, cyclic=True)
-    if np.max(np.abs(plan.casimir - j_val * (j_val + 1) * np.eye(state.dim_b))) > COMMUTATION_TOL:
+    if plan.casimir_residue > COMMUTATION_TOL:
         labels = ", ".join(p.bob.label for p in plan.pairs)
         raise ValueError(f"Bob observables ({labels}) are not a spin-{j_val} triple")
     variances = [float(pair_stats.variance) for pair_stats in _plan_statistics(state, plan)]
@@ -421,22 +429,37 @@ def eval_collective_spin_sum(state: BipartiteState, gain_mode: str) -> Criterion
 
 
 @functools.lru_cache(maxsize=8)
-def _spin_correlation_operators(j_a: float, j_b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """J_i^A ⊗ J_i^B for i = x, y, z, built once per (j_a, j_b); read-only."""
+def _spin_correlations(j_a: float, j_b: float) -> tuple[np.ndarray, float]:
+    """J_i^A ⊗ J_i^B for i = x, y, z as one read-only (3, D, D) stack, and its residue max |S − S†|."""
     ja, jb = spin_operators(j_a), spin_operators(j_b)
-    products = tuple(tensor_product(ja.component(axis), jb.component(axis)) for axis in "xyz")
-    for product in products:
-        product.setflags(write=False)
-    return products
+    stack = np.stack([tensor_product(ja.component(axis), jb.component(axis)) for axis in "xyz"])
+    stack.setflags(write=False)
+    return stack, float(np.abs(stack - stack.conj().swapaxes(1, 2)).max())
 
 
-def _spin_correlation_sum(state: BipartiteState, axes: str) -> tuple[float, dict[str, float | str]]:
-    products = _spin_correlation_operators((state.dim_a - 1) / 2, (state.dim_b - 1) / 2)
+def _spin_correlation_operators(j_a: float, j_b: float) -> np.ndarray:
+    """The cached (3, D, D) stack of J_i^A ⊗ J_i^B, built once per (j_a, j_b); read-only."""
+    return _spin_correlations(j_a, j_b)[0]
+
+
+def _spin_correlation_sum(state: BipartiteState, n_axes: int) -> tuple[float, dict[str, float | str]]:
+    """Σ_i <J_i^A J_i^B> over the first n_axes of x, y, z, read by one stacked trace.
+
+    Every call holds the stack to expectation's checks: its cached Hermitian
+    residue, its shape against the state's, and each value's imaginary residue.
+    """
+    stack, residue = _spin_correlations((state.dim_a - 1) / 2, (state.dim_b - 1) / 2)
+    if residue > ATOL_STRUCTURAL:
+        raise ValueError("observable is not Hermitian within 1e-10")
+    if stack.shape[1:] != state.matrix.shape:
+        raise ValueError(f"dimension mismatch: observable {stack.shape[1:]} vs state {state.matrix.shape}")
+    values = np.trace(stack[:n_axes] @ state.matrix, axis1=-2, axis2=-1)
     total = 0.0
     details: dict[str, float | str] = {}
-    for axis in axes:
-        corr = expectation(products["xyz".index(axis)], state.matrix)
-        details[f"correlation_{axis}"] = corr
+    for axis, value in zip("xyz", values):
+        if abs(value.imag) > ATOL_STRUCTURAL:
+            raise ValueError(f"expectation value has imaginary residue {value.imag:.3e}")
+        details[f"correlation_{axis}"] = corr = float(value.real)
         total += corr
     return total, details
 
@@ -447,8 +470,7 @@ def eval_linear_qubit(state: BipartiteState, n_measurements: int) -> CriterionRe
         raise ValueError(f"n_measurements must be 2 or 3, got {n_measurements}")
     if state.dim_a != 2 or state.dim_b != 2:
         raise ValueError("linear qubit criteria need a two-qubit state")
-    axes = "xy" if n_measurements == 2 else "xyz"
-    total, details = _spin_correlation_sum(state, axes)
+    total, details = _spin_correlation_sum(state, n_measurements)
     bound = math.sqrt(n_measurements) / 4
     return _result(f"linear-{n_measurements}", abs(total), bound, VIOLATED_IF_ABOVE, details)
 
@@ -458,7 +480,7 @@ def eval_linear_spin_j(state: BipartiteState) -> CriterionResult:
     if state.dim_a != state.dim_b:
         raise ValueError("linear-spin-j needs equal subsystem dimensions")
     j_val = (state.dim_b - 1) / 2
-    total, details = _spin_correlation_sum(state, "xyz")
+    total, details = _spin_correlation_sum(state, 3)
     details["spin_j"] = j_val
     return _result("linear-spin-j", abs(total), math.sqrt(3) * j_val**2, VIOLATED_IF_ABOVE, details)
 

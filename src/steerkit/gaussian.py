@@ -8,6 +8,7 @@ vacuum has unit variance in both (Δx·Δp ≥ 1). Covariance matrices are order
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,12 +24,14 @@ SPECTRAL_RTOL = 16 * np.finfo(float).eps
 X_A, P_A, X_B, P_B = 0, 1, 2, 3
 
 
+@functools.lru_cache(maxsize=8)
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal ⊕ [[0, 1], [-1, 0]], scaled so vacuum cov = identity."""
+    """Block-diagonal ⊕ [[0, 1], [-1, 0]], scaled so vacuum cov = identity; built once per n_modes, read-only."""
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
         omega[2 * k, 2 * k + 1] = 1.0
         omega[2 * k + 1, 2 * k] = -1.0
+    omega.setflags(write=False)
     return omega
 
 

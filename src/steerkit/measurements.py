@@ -31,13 +31,14 @@ PROB_FLOOR = 1e-12
 EIGENVALUE_MERGE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measurement:
     """Outcome values paired with effect operators, projective or POVM.
 
     The effects are one read-only (n, d, d) complex array, a copy validated
     once: Hermitian PSD and summing to the identity. Projective measurements
-    additionally require idempotent, mutually orthogonal effects.
+    additionally require idempotent, mutually orthogonal effects. `==` and
+    `hash` go by identity, since arrays have no truth value to compare by.
     """
 
     label: str

@@ -65,6 +65,12 @@ class TestSymmetricTwoMode:
         with pytest.raises(ValueError, match="uncertainty principle"):
             GaussianState(cov=cov)
 
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_symplectic_form_shared_and_read_only(self, n_modes):
+        omega = symplectic_form(n_modes)
+        assert omega is symplectic_form(n_modes) and not omega.flags.writeable
+        assert np.array_equal(omega, np.kron(np.eye(n_modes), [[0.0, 1.0], [-1.0, 0.0]]))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             SymmetricTwoModeParams(nbar=-0.1, mu=0.5)

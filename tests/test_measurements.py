@@ -122,6 +122,15 @@ class TestMeasurementValidation:
         up[0, 0] = 7.0
         assert m.effects.tobytes() == np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex).tobytes()
 
+    def test_equality_and_hash_go_by_identity(self):
+        # Compared field by field, equal effect arrays raised ValueError on
+        # `==` and the array field made `hash` raise TypeError.
+        up, down = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        a = Measurement("Z", (1, -1), (up, down))
+        b = Measurement("Z", (1, -1), (up.copy(), down.copy()))
+        assert a == a and not (a == b) and a != b
+        assert hash(a) == hash(a) and {a: 1}[a] == 1
+
 
 class TestMeasurementStrategy:
     @pytest.mark.parametrize("party", ["alice", "bob"])

@@ -5,8 +5,12 @@ against the one-kron-per-pair loop in `loop_reference`, and an inference
 plan's stacked pass against per-pair `measure_joint` and the row-loop
 statistics there; the cached spin operators, spin measurements, plans, effect
 stacks, effect products, correlation products and singlet must be shared and
-read-only, and a cached plan is still checked on every evaluation.
+read-only, and a cached plan is still checked on every evaluation. The linear
+criteria's one stacked trace over the correlation stack gives the bits of
+`expectation` per operator and keeps its checks and messages on every call.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +19,14 @@ from hypothesis import strategies as st
 
 import loop_reference
 from steerkit import criteria
-from steerkit.core import bipartite_from_matrix, spin_operators, tensor_product
+from steerkit.core import (
+    BipartiteState,
+    DensityMatrix,
+    bipartite_from_matrix,
+    expectation,
+    spin_operators,
+    tensor_product,
+)
 from steerkit.criteria import (
     InferencePair,
     InferencePlan,
@@ -24,6 +35,7 @@ from steerkit.criteria import (
     eval_additive_sum_two,
     eval_bowen,
     eval_product_criterion,
+    evaluate,
     spin_triple_plan,
 )
 from steerkit.families import singlet_state, werner_state
@@ -307,6 +319,7 @@ class TestCachedSpinObjects:
         assert plan.bob_operators is plan.bob_operators
         assert plan.commutation_residues is plan.commutation_residues
         assert plan.casimir is plan.casimir
+        assert plan.casimir_residue is plan.casimir_residue
         assert plan.effect_products is plan.effect_products
 
     def test_mub_presets_shared(self):
@@ -349,3 +362,56 @@ class TestCachedSpinObjects:
             fresh = tensor_product(ops_a.component(axis), ops_b.component(axis))
             assert product.tobytes() == fresh.tobytes() and product.shape == fresh.shape
             assert_read_only(product)
+
+
+J_PAIRS = [(0.5, 0.5), (1, 1), (1, 0.5), (1.5, 1), (1.5, 1.5), (2, 2), (0.5, 2)]
+
+
+def unvalidated_state(matrix, dim_a, dim_b):
+    """A BipartiteState around `matrix` with the density-matrix checks skipped."""
+    density = object.__new__(DensityMatrix)
+    object.__setattr__(density, "matrix", matrix)
+    return BipartiteState(density, dim_a, dim_b)
+
+
+class TestCorrelationStack:
+    @pytest.mark.parametrize("j_a, j_b", J_PAIRS)
+    def test_stacked_trace_matches_expectation_bitwise(self, rng, j_a, j_b):
+        dim_a, dim_b = round(2 * j_a) + 1, round(2 * j_b) + 1
+        products = criteria._spin_correlation_operators(j_a, j_b)
+        assert products.shape == (3, dim_a * dim_b, dim_a * dim_b) and not products.flags.writeable
+        for _ in range(20):
+            state = random_state(rng, dim_a, dim_b)
+            for n_axes in (2, 3):
+                total, details = criteria._spin_correlation_sum(state, n_axes)
+                reference = [expectation(op, state.matrix) for op in products[:n_axes]]
+                assert list(details) == [f"correlation_{axis}" for axis in "xyz"[:n_axes]]
+                assert np.array(list(details.values())).tobytes() == np.array(reference).tobytes()
+                assert np.float64(total).tobytes() == np.float64(sum(reference)).tobytes()
+
+    def test_hermitian_residue_checked_on_every_call(self, monkeypatch):
+        assert criteria._spin_correlations(0.5, 0.5)[1] <= 1e-10
+        cached = criteria._spin_correlations
+        monkeypatch.setattr(criteria, "_spin_correlations", lambda j_a, j_b: (cached(j_a, j_b)[0], 1.0))
+        for criterion_id in ("linear-2", "linear-3", "linear-spin-j"):
+            for mu in (0.3, 0.3, 0.9):
+                with pytest.raises(ValueError, match="observable is not Hermitian within 1e-10"):
+                    evaluate(criterion_id, werner_state(mu))
+
+    def test_imaginary_residue_keeps_its_message(self):
+        # I/4 + i·10⁻³·(Jx⊗Jx) is no state: Tr((Jx⊗Jx)·rho) has imaginary part 2.5e-4.
+        products = criteria._spin_correlation_operators(0.5, 0.5)
+        matrix = np.eye(4) / 4 + 1e-3j * products[0]
+        with pytest.raises(ValueError) as per_operator:
+            expectation(products[0], matrix)
+        for n_axes in (2, 3):
+            with pytest.raises(ValueError, match=re.escape(str(per_operator.value))):
+                criteria._spin_correlation_sum(unvalidated_state(matrix, 2, 2), n_axes)
+        assert str(per_operator.value) == "expectation value has imaginary residue 2.500e-04"
+
+    def test_sum_three_spin_checks_bob_dimension(self, rng):
+        # A qubit plan on a 2 x 3 state: its Casimir passes for spin-1/2, and
+        # the pair check names Bob's dimension instead of a broadcast error.
+        for _ in range(3):
+            with pytest.raises(ValueError, match="Bob measurement dimension 2 != subsystem dimension 3"):
+                eval_additive_sum_three_spin(random_state(rng, 2, 3), spin_triple_plan(0.5, 0.5))
